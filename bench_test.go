@@ -158,11 +158,11 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	for _, cfg := range []Config{BaseConfig(), WIBConfig()} {
 		cfg := cfg
 		b.Run(cfg.Name, func(b *testing.B) {
-			prog := Benchmark("gzip", ScaleRun)
+			prog := kernel(b, "gzip", ScaleRun)
 			b.ResetTimer()
 			var committed uint64
 			for i := 0; i < b.N; i++ {
-				r, err := Simulate(cfg, prog, 50_000)
+				r, err := SimulateContext(context.Background(), cfg, prog, WithMaxInstr(50_000))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -178,7 +178,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // speed the checkpointed fast-forward runs at. A budget-bounded run that
 // does not halt is the normal case here.
 func BenchmarkEmulatorThroughput(b *testing.B) {
-	prog := Benchmark("gzip", ScaleRun)
+	prog := kernel(b, "gzip", ScaleRun)
 	b.ResetTimer()
 	var executed uint64
 	for i := 0; i < b.N; i++ {
@@ -204,14 +204,14 @@ func BenchmarkCheckpointedCampaign(b *testing.B) {
 		measure = 50_000
 	)
 	configs := []Config{BaseConfig(), WIBConfig(), WIBConfigSized(2048, 16), ScaledConfig(2048, 2048)}
-	prog := func() *Program { return Benchmark("gzip", ScaleRun) }
+	prog := func() *Program { return kernel(b, "gzip", ScaleRun) }
 
 	var detailed, checkpointed time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		start := time.Now()
 		for _, cfg := range configs {
-			if _, err := Simulate(cfg, prog(), skip+measure); err != nil {
+			if _, err := SimulateContext(context.Background(), cfg, prog(), WithMaxInstr(skip+measure)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -264,7 +264,7 @@ func BenchmarkSampledCampaign(b *testing.B) {
 		start := time.Now()
 		for _, spec := range workload.All() {
 			for _, cfg := range cfgs {
-				r, err := SimulateContext(ctx, cfg, Benchmark(spec.Name, ScaleRun))
+				r, err := SimulateContext(ctx, cfg, kernel(b, spec.Name, ScaleRun))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -276,14 +276,14 @@ func BenchmarkSampledCampaign(b *testing.B) {
 		start = time.Now()
 		j := 0
 		for _, spec := range workload.All() {
-			prog := Benchmark(spec.Name, ScaleRun)
+			prog := kernel(b, spec.Name, ScaleRun)
 			total, err := ProgramLength(prog)
 			if err != nil {
 				b.Fatal(err)
 			}
 			resolved := plan.Resolve(total)
 			for _, cfg := range cfgs {
-				r, err := SimulateContext(ctx, cfg, Benchmark(spec.Name, ScaleRun), WithSampling(resolved))
+				r, err := SimulateContext(ctx, cfg, kernel(b, spec.Name, ScaleRun), WithSampling(resolved))
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -144,7 +144,9 @@ func main() {
 	}
 	var mix []kv
 	for c, cnt := range m.ClassMix {
-		mix = append(mix, kv{c, cnt})
+		if cnt > 0 {
+			mix = append(mix, kv{isa.Class(c), cnt})
+		}
 	}
 	sort.Slice(mix, func(i, j int) bool { return mix[i].n > mix[j].n })
 	for _, e := range mix {

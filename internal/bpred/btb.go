@@ -46,6 +46,18 @@ func (b *BTB) Lookup(pc uint64) (target uint64, hit bool) {
 	return 0, false
 }
 
+// contains reports whether pc has an entry. Unlike Lookup it is a pure
+// probe: it counts nothing and leaves the LRU state and tick untouched.
+func (b *BTB) contains(pc uint64) bool {
+	base := int(pc&b.setMask) * b.assoc
+	for i := base; i < base+b.assoc; i++ {
+		if b.valid[i] && b.tags[i] == pc {
+			return true
+		}
+	}
+	return false
+}
+
 // Insert records pc → target, replacing the LRU way of pc's set.
 func (b *BTB) Insert(pc, target uint64) {
 	b.tick++

@@ -180,7 +180,7 @@ func TestCloneIndependence(t *testing.T) {
 		_, cp := p.Predict(40, in)
 		p.Commit(40, in, cp, true, 42)
 	}
-	p.WarmBranch(200, 300, true, false, true) // BTB entry
+	p.ProfileBranch(200, 300, true, false, true) // BTB entry
 	jal := isa.Instr{Op: isa.OpJal, Imm: 1}
 	p.Predict(64, jal) // RAS push: top = 65
 	ghr := p.GHR()
@@ -191,7 +191,7 @@ func TestCloneIndependence(t *testing.T) {
 		_, cp := q.Predict(40, in)
 		q.Commit(40, in, cp, false, 0)
 	}
-	q.WarmBranch(200, 999, true, false, true)
+	q.ProfileBranch(200, 999, true, false, true)
 	q.Predict(500, isa.Instr{Op: isa.OpJr}) // RAS pop
 
 	if pr, _ := p.Predict(40, in); !pr.Taken {

@@ -9,22 +9,42 @@ import (
 	"largewindow/internal/mem"
 )
 
-// warmSink adapts the processor's cache hierarchy and branch predictor to
-// the emulator's warm-replay interface. All touches go through the
-// stat-free warm APIs, so the measured region's counters start at zero.
-type warmSink struct{ p *Processor }
+// Warmer feeds a functional access stream into a cache hierarchy and
+// branch predictor: it is the emu.Observer that keeps a timing core's
+// structures functionally warm. RestoreCheckpoint replays a checkpoint's
+// warm log through one; sampled simulation streams the emulator's full
+// history into one between measured intervals. Every touch goes through
+// the stat-free Profile* APIs with the outcome dropped, so a measured
+// region's counters start at zero.
+type Warmer struct {
+	Hier  *mem.Hierarchy
+	Bpred *bpred.Predictor
+}
 
-func (w warmSink) WarmFetch(line uint64) { w.p.hier.WarmFetch(line) }
-func (w warmSink) WarmLoad(addr uint64)  { w.p.hier.WarmLoad(addr) }
-func (w warmSink) WarmStore(addr uint64) { w.p.hier.WarmStore(addr) }
-func (w warmSink) WarmBranch(b emu.WarmBranch) {
-	w.p.bp.WarmBranch(b.PC, b.Target, b.Taken, b.Cond, b.BTB)
+// Fetch warms the instruction path for one fetch line.
+func (w *Warmer) Fetch(line uint64) { w.Hier.ProfileFetch(line) }
+
+// Instr ignores the per-instruction event.
+func (w *Warmer) Instr(uint64, isa.Class) {}
+
+// Mem warms the data path for one load or store.
+func (w *Warmer) Mem(addr uint64, store bool) {
+	if store {
+		w.Hier.ProfileStore(addr)
+	} else {
+		w.Hier.ProfileLoad(addr)
+	}
+}
+
+// Branch trains the predictor with one architectural outcome.
+func (w *Warmer) Branch(b emu.WarmBranch) {
+	w.Bpred.ProfileBranch(b.PC, b.Target, b.Taken, b.Cond, b.BTB)
 }
 
 // AdoptWarmState replaces the processor's cold cache hierarchy and branch
 // predictor with externally warmed ones. Sampled simulation keeps one
 // hierarchy and predictor alive per cell, feeds them the program's full
-// functional access stream between measured intervals (emu.Machine.RunSink),
+// functional access stream between measured intervals (a Warmer),
 // and hands them to each interval's fresh processor — full-history warming,
 // where a checkpoint's bounded warm rings only replay a tail.
 //
@@ -96,6 +116,6 @@ func (p *Processor) RestoreCheckpoint(cp *emu.Checkpoint) error {
 		}
 		p.oracle = m
 	}
-	cp.Warm.Replay(warmSink{p})
+	cp.Warm.Replay(&Warmer{Hier: p.hier, Bpred: p.bp})
 	return nil
 }

@@ -131,49 +131,44 @@ func (w *WarmLog) Counts() (mem, fetch, branch uint64) {
 	return w.mem.n, w.fetch.n, w.branch.n
 }
 
-// WarmSink receives a functional access stream — either a warm log's
-// replay or the emulator's live stream (Machine.RunSink). The timing core
-// implements it over its cache hierarchy and branch predictor with
-// stat-free warm-touch operations.
-type WarmSink interface {
-	WarmFetch(lineAddr uint64)
-	WarmLoad(addr uint64)
-	WarmStore(addr uint64)
-	WarmBranch(b WarmBranch)
+// WarmLog is an Observer: the emulator's run loop records into its rings
+// through the same interface a live cache/predictor adapter implements,
+// so ring capture and full-history streaming share one code path.
+
+// Fetch records an instruction-fetch line address.
+func (w *WarmLog) Fetch(line uint64) { w.fetch.push(line) }
+
+// Instr ignores the per-instruction event: the rings keep only the
+// access stream.
+func (w *WarmLog) Instr(uint64, isa.Class) {}
+
+// Mem records a data access address and its kind.
+func (w *WarmLog) Mem(addr uint64, store bool) {
+	if store {
+		w.mem.push(addr<<1 | 1)
+	} else {
+		w.mem.push(addr << 1)
+	}
 }
 
-// WarmLog itself is a WarmSink: the emulator's run loop records through
-// the same interface a live hierarchy adapter implements, so ring capture
-// (RunWarm) and full-history streaming (RunSink) share one code path.
-func (w *WarmLog) WarmFetch(lineAddr uint64) { w.fetch.push(lineAddr) }
+// Branch records a control-transfer outcome.
+func (w *WarmLog) Branch(b WarmBranch) { w.branch.push(b) }
 
-// WarmLoad records a data load address.
-func (w *WarmLog) WarmLoad(addr uint64) { w.mem.push(addr << 1) }
-
-// WarmStore records a data store address.
-func (w *WarmLog) WarmStore(addr uint64) { w.mem.push(addr<<1 | 1) }
-
-// WarmBranch records a control-transfer outcome.
-func (w *WarmLog) WarmBranch(b WarmBranch) { w.branch.push(b) }
-
-// Replay feeds the retained access stream into a sink, oldest-first per
-// ring (fetch lines, then data accesses, then branches).
-func (w *WarmLog) Replay(s WarmSink) {
+// Replay feeds the retained access stream into an observer, oldest-first
+// per ring (fetch lines, then data accesses, then branches). Instr is
+// never called: the rings do not retain per-instruction events.
+func (w *WarmLog) Replay(o Observer) {
 	if w == nil {
 		return
 	}
 	for _, a := range w.fetch.seq() {
-		s.WarmFetch(a)
+		o.Fetch(a)
 	}
 	for _, a := range w.mem.seq() {
-		if a&1 == 1 {
-			s.WarmStore(a >> 1)
-		} else {
-			s.WarmLoad(a >> 1)
-		}
+		o.Mem(a>>1, a&1 == 1)
 	}
 	for _, b := range w.branch.seq() {
-		s.WarmBranch(b)
+		o.Branch(b)
 	}
 }
 
@@ -212,10 +207,8 @@ func (m *Machine) Checkpoint() *Checkpoint {
 		CondCount:  m.CondCount,
 		IntReg:     m.IntReg,
 		FPReg:      m.FPReg,
+		ClassMix:   m.ClassMix,
 		Mem:        m.Mem.Clone(),
-	}
-	for c, n := range m.ClassMix {
-		cp.ClassMix[c] = n
 	}
 	cp.Mem.Freeze()
 	return cp
@@ -239,17 +232,12 @@ func Restore(prog *isa.Program, cp *Checkpoint) (*Machine, error) {
 		PC:         cp.PC,
 		Halted:     cp.Halted,
 		InstrCount: cp.InstrCount,
-		ClassMix:   make(map[isa.Class]uint64),
+		ClassMix:   cp.ClassMix,
 		TakenCond:  cp.TakenCond,
 		CondCount:  cp.CondCount,
 		StreamHash: cp.StreamHash,
-	}
-	m.IntReg = cp.IntReg
-	m.FPReg = cp.FPReg
-	for c, n := range cp.ClassMix {
-		if n > 0 {
-			m.ClassMix[isa.Class(c)] = n
-		}
+		IntReg:     cp.IntReg,
+		FPReg:      cp.FPReg,
 	}
 	return m, nil
 }

@@ -81,29 +81,38 @@ func checkpointZoo() []*isa.Program {
 }
 
 // TestRunMatchesStepLoop: the predecoded fast path must be architecturally
-// identical to a Step loop on every exercised program.
+// identical to a Step loop on every exercised program, with no observer,
+// with a WarmLog capturing the access stream, and with an event recorder
+// attached.
 func TestRunMatchesStepLoop(t *testing.T) {
 	for _, prog := range checkpointZoo() {
-		fast := New(prog)
-		if _, err := fast.Run(1 << 20); err != nil {
-			t.Fatalf("%s: %v", prog.Name, err)
-		}
 		slow := New(prog)
 		for !slow.Halted {
 			if err := slow.Step(); err != nil {
 				t.Fatalf("%s: %v", prog.Name, err)
 			}
 		}
-		if fast.Snapshot() != slow.Snapshot() {
-			t.Errorf("%s: fast loop diverges from Step loop:\nfast %+v\nslow %+v",
-				prog.Name, fast.Snapshot(), slow.Snapshot())
-		}
-		if fast.CondCount != slow.CondCount || fast.TakenCond != slow.TakenCond {
-			t.Errorf("%s: branch stats diverge", prog.Name)
-		}
-		for c, n := range slow.ClassMix {
-			if fast.ClassMix[c] != n {
-				t.Errorf("%s: class %v: fast %d, slow %d", prog.Name, c, fast.ClassMix[c], n)
+		for _, obs := range []struct {
+			name string
+			obs  Observer
+		}{
+			{"nil", nil},
+			{"warmlog", NewWarmLog(DefaultWarmMem, DefaultWarmFetch, DefaultWarmBranch)},
+			{"recorder", &eventLog{}},
+		} {
+			fast := New(prog)
+			if _, err := fast.RunObserved(1<<20, obs.obs); err != nil {
+				t.Fatalf("%s/%s: %v", prog.Name, obs.name, err)
+			}
+			if fast.Snapshot() != slow.Snapshot() {
+				t.Errorf("%s/%s: fast loop diverges from Step loop:\nfast %+v\nslow %+v",
+					prog.Name, obs.name, fast.Snapshot(), slow.Snapshot())
+			}
+			if fast.CondCount != slow.CondCount || fast.TakenCond != slow.TakenCond {
+				t.Errorf("%s/%s: branch stats diverge", prog.Name, obs.name)
+			}
+			if fast.ClassMix != slow.ClassMix {
+				t.Errorf("%s/%s: class mix: fast %v, slow %v", prog.Name, obs.name, fast.ClassMix, slow.ClassMix)
 			}
 		}
 	}
@@ -184,10 +193,8 @@ func TestCheckpointClassMixSurvives(t *testing.T) {
 	if _, err := tail.Run(1 << 20); err != nil {
 		t.Fatal(err)
 	}
-	for c, n := range full.ClassMix {
-		if tail.ClassMix[c] != n {
-			t.Errorf("class %v: resumed %d, want %d", c, tail.ClassMix[c], n)
-		}
+	if tail.ClassMix != full.ClassMix {
+		t.Errorf("class mix: resumed %v, want %v", tail.ClassMix, full.ClassMix)
 	}
 	if tail.CondCount != full.CondCount || tail.TakenCond != full.TakenCond {
 		t.Error("branch statistics did not survive the checkpoint")
@@ -287,12 +294,19 @@ func TestWarmRingOverflow(t *testing.T) {
 type warmProbe struct {
 	fetches, loads, stores []uint64
 	branches               []WarmBranch
+	instrs                 int
 }
 
-func (w *warmProbe) WarmFetch(a uint64)      { w.fetches = append(w.fetches, a) }
-func (w *warmProbe) WarmLoad(a uint64)       { w.loads = append(w.loads, a) }
-func (w *warmProbe) WarmStore(a uint64)      { w.stores = append(w.stores, a) }
-func (w *warmProbe) WarmBranch(b WarmBranch) { w.branches = append(w.branches, b) }
+func (w *warmProbe) Fetch(a uint64)          { w.fetches = append(w.fetches, a) }
+func (w *warmProbe) Instr(uint64, isa.Class) { w.instrs++ }
+func (w *warmProbe) Branch(b WarmBranch)     { w.branches = append(w.branches, b) }
+func (w *warmProbe) Mem(a uint64, store bool) {
+	if store {
+		w.stores = append(w.stores, a)
+	} else {
+		w.loads = append(w.loads, a)
+	}
+}
 
 // TestWarmLogReplay: the packed mem ring decodes back into loads and
 // stores with their original addresses, and a nil log replays nothing.
@@ -315,6 +329,9 @@ func TestWarmLogReplay(t *testing.T) {
 	}
 	if len(probe.branches) != 1 || !probe.branches[0].BTB {
 		t.Errorf("branches = %#v", probe.branches)
+	}
+	if probe.instrs != 0 {
+		t.Errorf("replay reported %d Instr events; the rings retain none", probe.instrs)
 	}
 	var nilLog *WarmLog
 	nilLog.Replay(&probe) // must not panic

@@ -27,7 +27,7 @@ type Machine struct {
 
 	// Statistics.
 	InstrCount uint64
-	ClassMix   map[isa.Class]uint64
+	ClassMix   [isa.NumClasses]uint64 // retired instructions per class
 	TakenCond  uint64
 	CondCount  uint64
 
@@ -35,16 +35,17 @@ type Machine struct {
 	// executions that retire the same dynamic instruction sequence have
 	// equal hashes; the pipeline's committed stream is checked against it.
 	StreamHash uint64
+
+	dec []decoded // decode table of Prog, built by the first run call
 }
 
 // New creates a machine at the program's entry point with its initial
 // memory image loaded, SP at StackTop and GP at DataBase.
 func New(p *isa.Program) *Machine {
 	m := &Machine{
-		Prog:     p,
-		Mem:      p.NewMemoryImage(),
-		PC:       p.Entry,
-		ClassMix: make(map[isa.Class]uint64),
+		Prog: p,
+		Mem:  p.NewMemoryImage(),
+		PC:   p.Entry,
 	}
 	m.IntReg[isa.SP] = p.StackTop
 	m.IntReg[isa.GP] = p.DataBase
@@ -53,6 +54,12 @@ func New(p *isa.Program) *Machine {
 
 // Step executes one instruction. It returns an error on a PC outside the
 // code segment; a Halted machine steps to itself without effect.
+//
+// Step is the reference interpreter: it decodes every instruction afresh
+// and shares no code with the predecoded loop behind Run and
+// RunObserved, so the tests, the pipeline's lockstep oracle and
+// trace.Verify that compare against it cross-check two independent
+// implementations of the ISA.
 func (m *Machine) Step() error {
 	if m.Halted {
 		return nil
@@ -112,32 +119,21 @@ func (m *Machine) Run(maxInstr uint64) (uint64, error) {
 	return m.run(maxInstr, nil)
 }
 
-// RunWarm is Run with warm-state capture: the executed access stream
-// (instruction-fetch lines, data addresses, branch outcomes) is recorded
-// into the warm log's bounded rings, for replay into a timing core's
-// caches, TLB, and branch predictor when a checkpoint is restored.
-func (m *Machine) RunWarm(maxInstr uint64, warm *WarmLog) (uint64, error) {
-	if warm == nil {
-		return m.run(maxInstr, nil)
-	}
-	return m.run(maxInstr, warm)
-}
-
-// RunSink is Run with live warm streaming: every executed access is fed
-// directly into the sink as it happens, with no ring bound. Feeding a
-// timing core's cache hierarchy and branch predictor this way keeps them
-// functionally warm with the program's FULL access history — sampled
-// simulation uses it between measured intervals, where the bounded tail
-// a WarmLog retains is not enough to reconverge large caches.
-func (m *Machine) RunSink(maxInstr uint64, sink WarmSink) (uint64, error) {
-	return m.run(maxInstr, sink)
+// RunObserved is Run with every executed instruction reported to obs
+// (see Observer): a WarmLog captures the access-stream tail for a
+// checkpoint, a live adapter keeps a cache hierarchy and branch
+// predictor warm with the program's full history, and recorders and
+// profilers see each instruction with its operands resolved. A nil obs
+// is plain Run.
+func (m *Machine) RunObserved(maxInstr uint64, obs Observer) (uint64, error) {
+	return m.run(maxInstr, obs)
 }
 
 // ReadReg returns the architectural value of a register operand,
 // applying the same Zero-register and FP-bank rules the executor uses.
-// The trace recorder (internal/trace) inspects source operands through
-// it just before Step to derive effective addresses and branch outcomes
-// without duplicating executor semantics.
+// trace.Verify inspects source operands through it just before Step to
+// re-derive effective addresses and branch outcomes on the reference
+// interpreter.
 func (m *Machine) ReadReg(r isa.RegRef) uint64 { return m.readSrc(r) }
 
 func (m *Machine) readSrc(r isa.RegRef) uint64 {

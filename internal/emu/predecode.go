@@ -2,7 +2,6 @@ package emu
 
 import (
 	"fmt"
-	"sync"
 
 	"largewindow/internal/isa"
 )
@@ -10,8 +9,7 @@ import (
 // decoded is the predecoded form of one static instruction: everything
 // Step re-derives per dynamic execution (functional-unit class, operand
 // register references, the direct branch target) is resolved once per
-// static instruction instead. A program's decode table is immutable and
-// shared by every Machine running it.
+// static instruction instead.
 type decoded struct {
 	op     isa.Op
 	class  isa.Class
@@ -21,18 +19,13 @@ type decoded struct {
 	target uint64 // absolute taken target for Branch/J/Jal (pc+1+imm)
 }
 
-// predecodeCache maps *isa.Program → []decoded. Programs are immutable
-// after building, so the table is computed once per program identity and
-// shared across machines (and across the campaign's warmup passes).
-var predecodeCache sync.Map
-
-// predecode returns the program's decode table, building it on first use.
-func predecode(p *isa.Program) []decoded {
-	if t, ok := predecodeCache.Load(p); ok {
-		return t.([]decoded)
-	}
-	t := make([]decoded, len(p.Code))
-	for pc, in := range p.Code {
+// predecode builds the decode table of a code segment. The table belongs
+// to the Machine that built it, so it lives exactly as long as the
+// machine does — a process-wide cache keyed by program would pin every
+// program ever run, data image included.
+func predecode(code []isa.Instr) []decoded {
+	t := make([]decoded, len(code))
+	for pc, in := range code {
 		d := &t[pc]
 		d.op = in.Op
 		d.class = in.Op.Class()
@@ -48,22 +41,47 @@ func predecode(p *isa.Program) []decoded {
 			}
 		}
 	}
-	actual, _ := predecodeCache.LoadOrStore(p, t)
-	return actual.([]decoded)
+	return t
 }
 
-// run is the predecoded hot loop behind Run: identical architectural
-// semantics to a Step loop (the equivalence is property-tested), but with
-// the per-step class/operand re-derivation and the ClassMix map increment
-// hoisted out. Hot state (PC, stream hash, class counts) lives in locals
-// and is flushed back to the Machine on every exit path.
+// Observer receives the architectural event stream of a run, in program
+// order. For every retired instruction: Fetch when its instruction-fetch
+// line differs from the previous instruction's (the first instruction of
+// every run call counts as a new line), then Instr, then Mem for a load
+// or store or Branch for a control transfer. One stream serves every
+// consumer of the functional tier: a WarmLog's bounded rings for
+// checkpoint capture, a live cache/predictor adapter for full-history
+// warming, the trace recorder, and the interval-model profiler.
+type Observer interface {
+	// Fetch is called with the 64-byte-aligned byte address of a newly
+	// entered instruction-fetch line.
+	Fetch(line uint64)
+	// Instr is called once per retired instruction with its static index
+	// and functional-unit class.
+	Instr(pc uint64, class isa.Class)
+	// Mem is called for loads and stores with the effective byte address.
+	Mem(addr uint64, store bool)
+	// Branch is called for every control transfer with its architectural
+	// outcome (Cond for conditional branches, BTB for transfers that
+	// train the BTB at commit).
+	Branch(b WarmBranch)
+}
+
+// run is the predecoded hot loop behind Run and RunObserved: identical
+// architectural semantics to a Step loop (the equivalence is property-
+// tested), but with the per-step class/operand re-derivation hoisted into
+// the decode table. Hot state (PC, stream hash, class counts) lives in
+// locals and is flushed back to the Machine on every exit path.
 //
-// When warm is non-nil the loop also feeds the access stream —
-// instruction-fetch lines, data addresses, and branch outcomes — into the
-// sink: a WarmLog's bounded rings for checkpoint capture, or a live
-// cache-hierarchy adapter for full-history functional warming.
-func (m *Machine) run(maxInstr uint64, warm WarmSink) (uint64, error) {
-	dec := predecode(m.Prog)
+// When obs is non-nil the loop reports every instruction to it (see
+// Observer). Fetch-line tracking restarts on every call, so a run split
+// into several calls reports the same stream regardless of where the
+// splits fall relative to sampling intervals.
+func (m *Machine) run(maxInstr uint64, obs Observer) (uint64, error) {
+	if m.dec == nil {
+		m.dec = predecode(m.Prog.Code)
+	}
+	dec := m.dec
 	code := m.Prog.Code
 	var classCnt [isa.NumClasses]uint64
 	pc := m.PC
@@ -78,9 +96,7 @@ func (m *Machine) run(maxInstr uint64, warm WarmSink) (uint64, error) {
 		m.TakenCond, m.CondCount = takenCond, condCount
 		m.InstrCount += count
 		for c, n := range classCnt {
-			if n > 0 {
-				m.ClassMix[isa.Class(c)] += n
-			}
+			m.ClassMix[c] += n
 		}
 	}
 
@@ -93,11 +109,12 @@ func (m *Machine) run(maxInstr uint64, warm WarmSink) (uint64, error) {
 		count++
 		classCnt[d.class]++
 		hash = mixHash(hash, pc)
-		if warm != nil {
+		if obs != nil {
 			if line := (pc * 8) &^ 63; line != lastFetchLine {
-				warm.WarmFetch(line)
+				obs.Fetch(line)
 				lastFetchLine = line
 			}
+			obs.Instr(pc, d.class)
 		}
 
 		var rs1, rs2 uint64
@@ -121,14 +138,14 @@ func (m *Machine) run(maxInstr uint64, warm WarmSink) (uint64, error) {
 		case isa.ClassLoad:
 			addr := isa.EffAddr(code[pc], rs1)
 			m.writeDest(d.dest, m.Mem.ReadWord(addr))
-			if warm != nil {
-				warm.WarmLoad(addr)
+			if obs != nil {
+				obs.Mem(addr, false)
 			}
 		case isa.ClassStore:
 			addr := isa.EffAddr(code[pc], rs1)
 			m.Mem.WriteWord(addr, rs2)
-			if warm != nil {
-				warm.WarmStore(addr)
+			if obs != nil {
+				obs.Mem(addr, true)
 			}
 		case isa.ClassBranch:
 			condCount++
@@ -137,26 +154,26 @@ func (m *Machine) run(maxInstr uint64, warm WarmSink) (uint64, error) {
 				takenCond++
 				next = d.target
 			}
-			if warm != nil {
-				warm.WarmBranch(WarmBranch{PC: pc, Target: d.target, Taken: taken, Cond: true, BTB: taken})
+			if obs != nil {
+				obs.Branch(WarmBranch{PC: pc, Target: d.target, Taken: taken, Cond: true, BTB: taken})
 			}
 		case isa.ClassJump:
 			switch d.op {
 			case isa.OpJr:
 				next = rs1
-				if warm != nil {
-					warm.WarmBranch(WarmBranch{PC: pc, Target: rs1, Taken: true})
+				if obs != nil {
+					obs.Branch(WarmBranch{PC: pc, Target: rs1, Taken: true})
 				}
 			case isa.OpJal:
 				m.writeDest(d.dest, isa.Eval(code[pc], rs1, rs2, pc))
 				next = d.target
-				if warm != nil {
-					warm.WarmBranch(WarmBranch{PC: pc, Target: d.target, Taken: true, BTB: true})
+				if obs != nil {
+					obs.Branch(WarmBranch{PC: pc, Target: d.target, Taken: true, BTB: true})
 				}
 			default: // OpJ
 				next = d.target
-				if warm != nil {
-					warm.WarmBranch(WarmBranch{PC: pc, Target: d.target, Taken: true, BTB: true})
+				if obs != nil {
+					obs.Branch(WarmBranch{PC: pc, Target: d.target, Taken: true, BTB: true})
 				}
 			}
 		case isa.ClassHalt:

@@ -1,11 +1,14 @@
 package mem
 
 // Warm-touch API: functional cache/TLB warming driven by the emulator's
-// access stream during checkpointed fast-forward. Warm operations install
-// lines and update LRU exactly like demand accesses, but count nothing —
-// the measured region's statistics must reflect only measured-region
-// traffic — and carry no timing: there are no in-flight fills, so the
-// first demand access to a warmed line is a plain hit.
+// access stream during checkpointed fast-forward and sampled simulation,
+// and by the interval-model profiler. Warm operations install lines and
+// update LRU exactly like demand accesses, but count nothing — the
+// measured region's statistics must reflect only measured-region traffic
+// — and carry no timing: there are no in-flight fills, so the first
+// demand access to a warmed line is a plain hit. The Profile* entry
+// points also report where each touch was satisfied; warming callers
+// drop the result.
 
 // Warm touches addr without recording statistics: it updates LRU on a
 // hit (marking the line dirty on stores) and allocates on a miss,
@@ -66,32 +69,7 @@ func (t *TLB) Warm(addr uint64) (hit bool) {
 	return false
 }
 
-// warmData warms the data path for one access: the D-TLB and the L1D,
-// touching the L2 only when the L1D warm-touch misses — the same
-// filtering a demand miss path applies.
-func (h *Hierarchy) warmData(addr uint64, store bool) {
-	if h.tlb != nil {
-		h.tlb.Warm(addr)
-	}
-	if !h.l1d.Warm(addr, store) {
-		h.l2.Warm(addr, false)
-	}
-}
-
-// WarmLoad warms the hierarchy for a functional load.
-func (h *Hierarchy) WarmLoad(addr uint64) { h.warmData(addr, false) }
-
-// WarmStore warms the hierarchy for a functional store.
-func (h *Hierarchy) WarmStore(addr uint64) { h.warmData(addr, true) }
-
-// WarmFetch warms the instruction path for the line containing addr.
-func (h *Hierarchy) WarmFetch(addr uint64) {
-	if !h.l1i.Warm(addr, false) {
-		h.l2.Warm(addr, false)
-	}
-}
-
-// WarmLevel classifies where a profiled warm touch was satisfied. The
+// WarmLevel classifies where a warm touch was satisfied. The
 // interval-model profiler (internal/model) uses it to count per-level
 // miss events in one functional pass without the timing machinery.
 type WarmLevel uint8
@@ -106,8 +84,10 @@ const (
 	WarmHitMem
 )
 
-// profileData is warmData with hit classification: the same TLB/L1/L2
-// filtering, but reporting where the access landed.
+// profileData warms the data path for one access: the D-TLB and the L1D,
+// touching the L2 only when the L1D warm-touch misses — the same
+// filtering a demand miss path applies — and reports where the access
+// landed.
 func (h *Hierarchy) profileData(addr uint64, store bool) (lvl WarmLevel, tlbMiss bool) {
 	if h.tlb != nil {
 		tlbMiss = !h.tlb.Warm(addr)
@@ -121,20 +101,20 @@ func (h *Hierarchy) profileData(addr uint64, store bool) (lvl WarmLevel, tlbMiss
 	return WarmHitMem, tlbMiss
 }
 
-// ProfileLoad warms the data path exactly like WarmLoad and reports the
+// ProfileLoad warms the hierarchy for a functional load and reports the
 // hit level and whether the D-TLB missed.
 func (h *Hierarchy) ProfileLoad(addr uint64) (lvl WarmLevel, tlbMiss bool) {
 	return h.profileData(addr, false)
 }
 
-// ProfileStore warms the data path exactly like WarmStore and reports
+// ProfileStore warms the hierarchy for a functional store and reports
 // the hit level and whether the D-TLB missed.
 func (h *Hierarchy) ProfileStore(addr uint64) (lvl WarmLevel, tlbMiss bool) {
 	return h.profileData(addr, true)
 }
 
-// ProfileFetch warms the instruction path exactly like WarmFetch and
-// reports the hit level.
+// ProfileFetch warms the instruction path for the line containing addr
+// and reports the hit level: the L1I, then the L2 on an L1I miss.
 func (h *Hierarchy) ProfileFetch(addr uint64) WarmLevel {
 	if h.l1i.Warm(addr, false) {
 		return WarmHitL1

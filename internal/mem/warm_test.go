@@ -69,9 +69,9 @@ func TestTLBWarmCountsNothing(t *testing.T) {
 
 func TestHierarchyWarmLoadCountsNothing(t *testing.T) {
 	h := NewHierarchy(DefaultConfig())
-	h.WarmLoad(0x4000)
-	h.WarmStore(0x8000)
-	h.WarmFetch(0x1000)
+	h.ProfileLoad(0x4000)
+	h.ProfileStore(0x8000)
+	h.ProfileFetch(0x1000)
 	for _, s := range []CacheStats{h.L1DStats(), h.L1IStats(), h.L2Stats()} {
 		if s.Accesses != 0 || s.Misses != 0 {
 			t.Errorf("warm traffic counted: %+v", s)
@@ -87,14 +87,14 @@ func TestHierarchyWarmLoadCountsNothing(t *testing.T) {
 
 func TestHierarchyWarmMissFiltersToL2(t *testing.T) {
 	h := NewHierarchy(DefaultConfig())
-	h.WarmLoad(0x4000)
+	h.ProfileLoad(0x4000)
 	// The warm L1D miss touched the L2 — the line is now resident there.
 	if !h.l2.Probe(0x4000) {
 		t.Error("warm L1D miss did not warm the L2")
 	}
 	// A second warm load hits L1D and is filtered from the L2. Observe via
 	// LRU: if it reached L2, it would refresh the line's recency.
-	h.WarmLoad(0x4000)
+	h.ProfileLoad(0x4000)
 	if !h.l1d.Probe(0x4000) {
 		t.Error("warm load did not install into L1D")
 	}
@@ -102,7 +102,7 @@ func TestHierarchyWarmMissFiltersToL2(t *testing.T) {
 
 func TestHierarchyWarmFetchWarmsInstrPath(t *testing.T) {
 	h := NewHierarchy(DefaultConfig())
-	h.WarmFetch(0x1000)
+	h.ProfileFetch(0x1000)
 	if !h.l1i.Probe(0x1000) {
 		t.Error("warm fetch did not install into L1I")
 	}
@@ -116,7 +116,7 @@ func TestHierarchyWarmFetchWarmsInstrPath(t *testing.T) {
 
 func TestHierarchyWarmedDemandLoadIsFastHit(t *testing.T) {
 	h := NewHierarchy(DefaultConfig())
-	h.WarmLoad(0x8000)
+	h.ProfileLoad(0x8000)
 	res := h.Load(0x8000, 100)
 	if res.L1Miss || res.TLBMiss {
 		t.Errorf("warmed demand load missed: %+v", res)
@@ -130,8 +130,23 @@ func TestHierarchyWarmWithTLBDisabled(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DisableTLB = true
 	h := NewHierarchy(cfg)
-	h.WarmLoad(0x4000) // must not panic on nil TLB
+	h.ProfileLoad(0x4000) // must not panic on nil TLB
 	if !h.l1d.Probe(0x4000) {
 		t.Error("warm load did not install with TLB disabled")
+	}
+}
+
+func TestHierarchyProfileReportsLevel(t *testing.T) {
+	h := NewHierarchy(DefaultConfig())
+	if lvl, tlbMiss := h.ProfileLoad(0x4000); lvl != WarmHitMem || !tlbMiss {
+		t.Errorf("cold load = (%v, tlbMiss %v), want (WarmHitMem, true)", lvl, tlbMiss)
+	}
+	if lvl, tlbMiss := h.ProfileLoad(0x4000); lvl != WarmHitL1 || tlbMiss {
+		t.Errorf("repeat load = (%v, tlbMiss %v), want (WarmHitL1, false)", lvl, tlbMiss)
+	}
+	// The L1I miss left the line in the L2 only.
+	h.ProfileFetch(0x8000)
+	if lvl, _ := h.ProfileStore(0x8000); lvl != WarmHitL2 {
+		t.Errorf("store to an L2-resident line = %v, want WarmHitL2", lvl)
 	}
 }

@@ -89,16 +89,16 @@ func (l *ladder) setDepth(r isa.RegRef, d int64) {
 	l.stamp[b][r.N] = l.chunk
 }
 
-// collector implements emu.ProfileSink: it joins the emulator's
-// per-instruction stream against its operand table, feeding
-// stat-counting warm caches/TLB/predictor and the dependence ladders.
+// collector is an emu.Observer: it joins the emulator's per-instruction
+// stream against its operand table, feeding stat-counting warm
+// caches/TLB/predictor and the dependence ladders.
 type collector struct {
 	ops []opInfo
 	h   *mem.Hierarchy
 	bp  *bpred.Predictor
 
-	pos           int64 // dynamic position of the current instruction
-	lastFetchLine uint64
+	pos int64  // dynamic position of the current instruction
+	pc  uint64 // static index of the current instruction
 
 	// taint[bank][reg] is the position of the most recent long load miss
 	// whose data flows into the register's value (through ALU ops and
@@ -155,20 +155,22 @@ func (c *collector) dataflow(op *opInfo, pos int64) {
 	}
 }
 
-// Instr implements emu.ProfileSink.
+// Fetch implements emu.Observer.
+func (c *collector) Fetch(line uint64) {
+	switch c.h.ProfileFetch(line) {
+	case mem.WarmHitL2:
+		c.prof.L1IMisses++
+	case mem.WarmHitMem:
+		c.prof.L1IMisses++
+		c.prof.L1IMemMisses++
+	}
+}
+
+// Instr implements emu.Observer.
 func (c *collector) Instr(pc uint64, class isa.Class) {
 	pos := c.pos
 	c.pos++
-	if line := (pc * 8) &^ 63; line != c.lastFetchLine {
-		c.lastFetchLine = line
-		switch c.h.ProfileFetch(line) {
-		case mem.WarmHitL2:
-			c.prof.L1IMisses++
-		case mem.WarmHitMem:
-			c.prof.L1IMisses++
-			c.prof.L1IMemMisses++
-		}
-	}
+	c.pc = pc
 	op := &c.ops[pc]
 	switch class {
 	case isa.ClassLoad, isa.ClassStore:
@@ -184,10 +186,10 @@ func (c *collector) Instr(pc uint64, class isa.Class) {
 	}
 }
 
-// Mem implements emu.ProfileSink.
-func (c *collector) Mem(pc, addr uint64, store bool) {
+// Mem implements emu.Observer.
+func (c *collector) Mem(addr uint64, store bool) {
 	pos := c.pos - 1
-	op := &c.ops[pc]
+	op := &c.ops[c.pc]
 	if store {
 		lvl, tlbMiss := c.h.ProfileStore(addr)
 		if tlbMiss {
@@ -225,7 +227,7 @@ func (c *collector) Mem(pc, addr uint64, store bool) {
 	c.dataflow(op, pos)
 }
 
-// Branch implements emu.ProfileSink.
+// Branch implements emu.Observer.
 func (c *collector) Branch(b emu.WarmBranch) {
 	mis, btbMiss := c.bp.ProfileBranch(b.PC, b.Target, b.Taken, b.Cond, b.BTB)
 	if b.Cond {
@@ -286,10 +288,9 @@ func Collect(prog *isa.Program, scale string, opt CollectOptions) (*Profile, err
 		}
 	}
 	c := &collector{
-		ops:           ops,
-		h:             mem.NewHierarchy(opt.Mem),
-		bp:            bpred.New(opt.Bpred),
-		lastFetchLine: ^uint64(0),
+		ops: ops,
+		h:   mem.NewHierarchy(opt.Mem),
+		bp:  bpred.New(opt.Bpred),
 		prof: &Profile{
 			Bench:   prog.Name,
 			Scale:   scale,
@@ -311,16 +312,14 @@ func Collect(prog *isa.Program, scale string, opt CollectOptions) (*Profile, err
 	}
 
 	m := emu.New(prog)
-	n, err := m.RunProfile(maxInstr, c)
+	n, err := m.RunObserved(maxInstr, c)
 	if err != nil && !errors.Is(err, emu.ErrNotHalted) {
 		return nil, fmt.Errorf("model: profiling %s: %w", prog.Name, err)
 	}
 	p := c.prof
 	p.N = n
 	p.Halted = m.Halted
-	for cl, cnt := range m.ClassMix {
-		p.ClassMix[cl] = cnt
-	}
+	p.ClassMix = m.ClassMix
 
 	p.SerialMisses = make([]float64, len(windows))
 	p.ILP = make([]float64, len(windows))

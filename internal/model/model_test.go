@@ -1,9 +1,11 @@
 package model
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strconv"
 	"testing"
 
@@ -325,5 +327,31 @@ func TestEffectiveWindow(t *testing.T) {
 	}
 	if f := Family(core.WIBDefault()); f != "wib" {
 		t.Fatalf("Family wib: %q", f)
+	}
+}
+
+// TestCollectGoldenProfiles pins the complete Profile of two kernels —
+// a pointer chaser and a streaming FP kernel — so any change to the
+// emulator's observed event stream, the warm-touch APIs or the
+// collector's dependence analysis that moves a single count shows up.
+func TestCollectGoldenProfiles(t *testing.T) {
+	cfg := core.DefaultConfig()
+	for _, name := range []string{"mst", "art"} {
+		prof, err := Collect(buildRef(t, name, workload.ScaleRun), "run",
+			CollectOptions{MaxInstr: 200_000, Mem: cfg.Mem, Bpred: cfg.Bpred})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.MarshalIndent(prof, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", "profile_"+name+"_run_200k.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(append(got, '\n')) != string(want) {
+			t.Errorf("%s: profile drifted from the golden:\n%s", name, got)
+		}
 	}
 }

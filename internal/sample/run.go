@@ -56,22 +56,6 @@ type Outcome struct {
 	TotalInstr uint64
 }
 
-// liveWarm adapts a persistent cache hierarchy and branch predictor to
-// the emulator's warm-sink interface: the functional stream between
-// measured intervals feeds them directly, with no ring bound, so each
-// interval's detailed core inherits the program's full access history.
-type liveWarm struct {
-	h  *mem.Hierarchy
-	bp *bpred.Predictor
-}
-
-func (w liveWarm) WarmFetch(line uint64) { w.h.WarmFetch(line) }
-func (w liveWarm) WarmLoad(a uint64)     { w.h.WarmLoad(a) }
-func (w liveWarm) WarmStore(a uint64)    { w.h.WarmStore(a) }
-func (w liveWarm) WarmBranch(b emu.WarmBranch) {
-	w.bp.WarmBranch(b.PC, b.Target, b.Taken, b.Cond, b.BTB)
-}
-
 // ProgramLength runs a throwaway functional machine to completion and
 // returns the program's dynamic instruction count — what auto-period
 // plans resolve against. It costs one emulator pass (~74M instrs/s);
@@ -111,7 +95,7 @@ func Run(ctx context.Context, cfg core.Config, prog *isa.Program, plan Plan, max
 	}
 	out := &Outcome{Plan: plan}
 	m := emu.New(prog)
-	warm := liveWarm{h: mem.NewHierarchy(cfg.Mem), bp: bpred.New(cfg.Bpred)}
+	warm := &core.Warmer{Hier: mem.NewHierarchy(cfg.Mem), Bpred: bpred.New(cfg.Bpred)}
 
 	// Aggregated measured-window memory-system counters.
 	var dl1Acc, dl1Miss, l2Acc, l2Miss, tlbAcc, tlbMiss uint64
@@ -120,7 +104,7 @@ func Run(ctx context.Context, cfg core.Config, prog *isa.Program, plan Plan, max
 	for k := 0; k < plan.Intervals; k++ {
 		start := plan.Offset(k)
 		if start > m.InstrCount {
-			if _, err := m.RunSink(start-m.InstrCount, warm); err != nil && !errors.Is(err, emu.ErrNotHalted) {
+			if _, err := m.RunObserved(start-m.InstrCount, warm); err != nil && !errors.Is(err, emu.ErrNotHalted) {
 				return nil, fmt.Errorf("sample: fast-forward to interval %d of %s: %w", k, prog.Name, err)
 			}
 		}
@@ -143,8 +127,8 @@ func Run(ctx context.Context, cfg core.Config, prog *isa.Program, plan Plan, max
 		// contaminate the trained state later intervals inherit — a sliver
 		// of extra mispredicts that a deep window amplifies into tens of
 		// percent of IPC error.
-		warm.h.ResetTiming()
-		if err := p.AdoptWarmState(warm.h, warm.bp.Clone()); err != nil {
+		warm.Hier.ResetTiming()
+		if err := p.AdoptWarmState(warm.Hier, warm.Bpred.Clone()); err != nil {
 			return nil, intervalErr(k, prog.Name, err)
 		}
 		if err := p.RestoreCheckpoint(cp); err != nil {
@@ -206,12 +190,12 @@ func Run(ctx context.Context, cfg core.Config, prog *isa.Program, plan Plan, max
 		}
 
 		// Re-execute the window's instructions on the emulator with the
-		// warm sink: the shared predictor saw none of them (the core
+		// warmer: the shared predictor saw none of them (the core
 		// trained only its private clone), and the shared hierarchy is
 		// refreshed in architectural order, scrubbing the abandoned
 		// interval's speculative leftovers. Every instruction of the
 		// program thus trains the shared warm state exactly once.
-		if _, err := m.RunSink(st.Committed, warm); err != nil && !errors.Is(err, emu.ErrNotHalted) {
+		if _, err := m.RunObserved(st.Committed, warm); err != nil && !errors.Is(err, emu.ErrNotHalted) {
 			return nil, fmt.Errorf("sample: advancing past interval %d of %s: %w", k, prog.Name, err)
 		}
 	}

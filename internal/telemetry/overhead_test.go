@@ -7,7 +7,9 @@ package telemetry_test
 
 import (
 	"io"
+	"sort"
 	"testing"
+	"time"
 
 	"largewindow/internal/core"
 	"largewindow/internal/telemetry"
@@ -54,27 +56,39 @@ func BenchmarkTelemetryOn(b *testing.B) {
 // TestDisabledTelemetryOverhead is the informational smoke check run by
 // scripts/check.sh: it reports the on/off ratio and fails only on a gross
 // regression (>25%), far above the <2% budget the benchmark pair measures
-// precisely — a tight bound here would make tier-1 flaky on loaded
-// machines.
+// precisely. The ratio is the median over interleaved off/on pairs at a
+// fixed run count, with the order alternating between pairs, so load
+// from concurrently running test packages hits both sides of a pair
+// alike and one disturbed pair cannot move the verdict.
 func TestDisabledTelemetryOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing comparison skipped in -short mode")
 	}
-	off := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			simulate(b, false)
+	const pairs, runs = 9, 3
+	timed := func(attach bool) time.Duration {
+		start := time.Now()
+		for i := 0; i < runs; i++ {
+			simulate(t, attach)
 		}
-	})
-	on := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			simulate(b, true)
+		return time.Since(start)
+	}
+	ratios := make([]float64, pairs)
+	var offSum, onSum time.Duration
+	for i := range ratios {
+		var off, on time.Duration
+		if i%2 == 0 {
+			off, on = timed(false), timed(true)
+		} else {
+			on, off = timed(true), timed(false)
 		}
-	})
-	offNs := float64(off.NsPerOp())
-	onNs := float64(on.NsPerOp())
-	ratio := onNs / offNs
-	t.Logf("telemetry off: %.2fms/run, on: %.2fms/run, enabled overhead %.1f%%",
-		offNs/1e6, onNs/1e6, 100*(ratio-1))
+		offSum += off
+		onSum += on
+		ratios[i] = float64(on) / float64(off)
+	}
+	sort.Float64s(ratios)
+	ratio := ratios[pairs/2]
+	t.Logf("telemetry off: %.2fms/run, on: %.2fms/run, enabled overhead %.1f%% (median of %d pairs)",
+		float64(offSum)/(pairs*runs*1e6), float64(onSum)/(pairs*runs*1e6), 100*(ratio-1), pairs)
 	if ratio > 1.25 {
 		t.Errorf("telemetry-enabled run is %.1f%% slower than disabled — probe fast path broken", 100*(ratio-1))
 	}

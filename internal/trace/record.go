@@ -9,11 +9,40 @@ import (
 	"largewindow/internal/workload"
 )
 
+// recorder is the emu.Observer behind Record: it appends one Rec per
+// retired instruction and fills in the access or control outcome the
+// emulator reports right after it.
+type recorder struct {
+	code []isa.Instr
+	recs []Rec
+}
+
+func (r *recorder) Fetch(uint64) {}
+
+func (r *recorder) Instr(pc uint64, class isa.Class) {
+	r.recs = append(r.recs, Rec{PC: pc, Class: class})
+}
+
+func (r *recorder) Mem(addr uint64, _ bool) {
+	rec := &r.recs[len(r.recs)-1]
+	rec.HasMem = true
+	rec.Addr = addr
+}
+
+func (r *recorder) Branch(b emu.WarmBranch) {
+	rec := &r.recs[len(r.recs)-1]
+	rec.Taken = b.Taken
+	if r.code[b.PC].Op == isa.OpJr {
+		rec.HasTgt = true
+		rec.Target = b.Target
+	}
+}
+
 // Record captures a workload into a Trace by running it on the
 // functional emulator: the full static program image is copied in, and
 // up to maxInstr dynamic instruction records (PC, class, effective
-// address, branch outcome, indirect target) are captured by inspecting
-// operands just before each Step. maxInstr == 0 records the dynamic
+// address, branch outcome, indirect target) are captured from the
+// emulator's observed event stream. maxInstr == 0 records the dynamic
 // stream until Halt (budgeted at 1<<32 as a runaway guard). The
 // recorded stream hash is the emulator's committed-PC hash over the
 // recorded prefix, which Verify (validate.go) and the replay oracle can
@@ -28,31 +57,9 @@ func Record(src workload.Source, scale workload.Scale, maxInstr uint64) (*Trace,
 		budget = 1 << 32
 	}
 	m := emu.New(prog)
-	recs := make([]Rec, 0, min(budget, 1<<20))
-	for uint64(len(recs)) < budget && !m.Halted {
-		pc := m.PC
-		if pc >= uint64(len(prog.Code)) {
-			return nil, fmt.Errorf("trace: recording %s: pc %d outside code", src.Ref(), pc)
-		}
-		in := prog.Code[pc]
-		r := Rec{PC: pc, Class: in.Op.Class()}
-		switch r.Class {
-		case isa.ClassLoad, isa.ClassStore:
-			r.HasMem = true
-			r.Addr = isa.EffAddr(in, m.ReadReg(in.Src1()))
-		case isa.ClassBranch:
-			r.Taken = isa.BranchTaken(in, m.ReadReg(in.Src1()), m.ReadReg(in.Src2()))
-		case isa.ClassJump:
-			r.Taken = true
-			if in.Op == isa.OpJr {
-				r.HasTgt = true
-				r.Target = m.ReadReg(in.Src1())
-			}
-		}
-		if err := m.Step(); err != nil {
-			return nil, fmt.Errorf("trace: recording %s: %w", src.Ref(), err)
-		}
-		recs = append(recs, r)
+	rec := &recorder{code: prog.Code, recs: make([]Rec, 0, min(budget, 1<<20))}
+	if _, err := m.RunObserved(budget, rec); err != nil && !errors.Is(err, emu.ErrNotHalted) {
+		return nil, fmt.Errorf("trace: recording %s: %w", src.Ref(), err)
 	}
 	if maxInstr == 0 && !m.Halted {
 		return nil, fmt.Errorf("trace: recording %s: no Halt within %d instructions", src.Ref(), budget)
@@ -70,7 +77,7 @@ func Record(src workload.Source, scale workload.Scale, maxInstr uint64) (*Trace,
 		Instrs:     m.InstrCount,
 		StreamHash: m.StreamHash,
 		Halted:     m.Halted,
-		Records:    recs,
+		Records:    rec.recs,
 	}
 	return t, nil
 }

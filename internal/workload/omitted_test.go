@@ -1,22 +1,31 @@
 package workload
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 
 	"largewindow/internal/emu"
 )
 
+// omittedNames are the kernels the paper excluded from its suites.
+var omittedNames = []string{"ammp", "health"}
+
 func TestOmittedExcludedFromSuites(t *testing.T) {
-	if got := OmittedNames(); len(got) != 2 || got[0] != "ammp" || got[1] != "health" {
-		t.Fatalf("OmittedNames = %v, want [ammp health]", got)
+	var registered []string
+	for name, sp := range registry {
+		if sp.Omitted {
+			registered = append(registered, name)
+		}
 	}
-	for _, name := range OmittedNames() {
+	sort.Strings(registered)
+	if !reflect.DeepEqual(registered, omittedNames) {
+		t.Fatalf("omitted kernels in the registry = %v, want %v", registered, omittedNames)
+	}
+	for _, name := range omittedNames {
 		sp, ok := Get(name)
 		if !ok || !sp.Omitted {
 			t.Errorf("%s not retrievable via Get with Omitted set", name)
-		}
-		if _, ok := GetOmitted(name); !ok {
-			t.Errorf("%s not retrievable via the deprecated GetOmitted wrapper", name)
 		}
 	}
 	for _, sp := range All() {
@@ -24,13 +33,13 @@ func TestOmittedExcludedFromSuites(t *testing.T) {
 			t.Errorf("%s leaked into the evaluation suites", sp.Name)
 		}
 	}
-	if _, ok := GetOmitted("art"); ok {
-		t.Error("suite benchmark retrievable via GetOmitted")
+	if sp, _ := Get("art"); sp.Omitted {
+		t.Error("suite benchmark marked omitted")
 	}
 }
 
 func TestOmittedKernelsTerminate(t *testing.T) {
-	for _, name := range OmittedNames() {
+	for _, name := range omittedNames {
 		spec, _ := Get(name)
 		m := emu.New(spec.Build(ScaleTest))
 		n, err := m.Run(30_000_000)

@@ -20,9 +20,10 @@
 // Quick start:
 //
 //	ctx := context.Background()
-//	prog := largewindow.Benchmark("art", largewindow.ScaleTest)
-//	base, _ := largewindow.SimulateContext(ctx, largewindow.BaseConfig(), prog)
-//	wib, _ := largewindow.SimulateContext(ctx, largewindow.WIBConfig(), prog)
+//	art, _ := largewindow.ParseWorkloadRef("art")
+//	run := largewindow.WithWorkload(art, largewindow.ScaleTest)
+//	base, _ := largewindow.SimulateContext(ctx, largewindow.BaseConfig(), nil, run)
+//	wib, _ := largewindow.SimulateContext(ctx, largewindow.WIBConfig(), nil, run)
 //	fmt.Printf("speedup %.2fx\n", wib.IPC()/base.IPC())
 //
 // Budgeted runs, wall-clock bounds, and telemetry attach as options:
@@ -39,7 +40,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 
 	"largewindow/internal/core"
 	"largewindow/internal/emu"
@@ -120,38 +120,6 @@ func ParseWorkloadRef(ref string) (Workload, error) {
 // given scale (traces ignore scale — their content is fixed).
 func WorkloadProgram(w Workload, scale Scale) (*Program, error) {
 	return w.Build(scale)
-}
-
-// LookupBenchmark builds one of the evaluation kernels by name ("art",
-// "treeadd", ...). Unknown names return an error that lists every valid
-// benchmark.
-//
-// Deprecated: Use ParseWorkloadRef, which also accepts trace: and synth:
-// refs, and build via Workload.Build.
-func LookupBenchmark(name string, scale Scale) (*Program, error) {
-	if _, ok := workload.Get(name); !ok {
-		return nil, fmt.Errorf("largewindow: unknown benchmark %q (valid: %s)",
-			name, strings.Join(workload.Names(), ", "))
-	}
-	src, err := ParseWorkloadRef(name)
-	if err != nil {
-		return nil, err
-	}
-	return src.Build(scale)
-}
-
-// Benchmark is LookupBenchmark for the quick-start path: it panics on
-// unknown names (the message lists every valid benchmark) so the happy
-// path stays one line.
-//
-// Deprecated: Use ParseWorkloadRef + Workload.Build and handle the
-// error.
-func Benchmark(name string, scale Scale) *Program {
-	prog, err := LookupBenchmark(name, scale)
-	if err != nil {
-		panic(err.Error())
-	}
-	return prog
 }
 
 // BenchmarkNames lists the evaluation kernels in the paper's table order.
@@ -484,19 +452,9 @@ func ExploreContext(ctx context.Context, cfgs []Config, workloads []string, opts
 	return space.Explore()
 }
 
-// Simulate runs prog on the given configuration until it halts or commits
-// maxInstr instructions (0 = run to completion).
-//
-// Deprecated: Use SimulateContext, which adds cancellation, cycle
-// budgets, and telemetry via options. Simulate is equivalent to
-// SimulateContext(context.Background(), cfg, prog, WithMaxInstr(maxInstr)).
-func Simulate(cfg Config, prog *Program, maxInstr uint64) (*Result, error) {
-	return SimulateContext(context.Background(), cfg, prog, WithMaxInstr(maxInstr))
-}
-
 // Emulate runs prog on the architectural emulator (no timing) and returns
-// the final state — the reference a Simulate run of the same program must
-// match.
+// the final state — the reference a SimulateContext run of the same
+// program must match.
 func Emulate(prog *Program, maxInstr uint64) (emu.State, error) {
 	m := emu.New(prog)
 	if _, err := m.Run(maxInstr); err != nil {

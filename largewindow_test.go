@@ -1,10 +1,25 @@
 package largewindow
 
 import (
+	"context"
 	"testing"
 
 	"largewindow/internal/isa"
 )
+
+// kernel builds an evaluation kernel through the workload-ref path.
+func kernel(tb testing.TB, name string, scale Scale) *Program {
+	tb.Helper()
+	w, err := ParseWorkloadRef(name)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	prog, err := WorkloadProgram(w, scale)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return prog
+}
 
 func tinyProgram(t *testing.T) *Program {
 	t.Helper()
@@ -31,7 +46,7 @@ func TestSimulateMatchesEmulate(t *testing.T) {
 	if ref.IntReg[isa.A0] != 200 {
 		t.Errorf("emulated A0 = %d", ref.IntReg[isa.A0])
 	}
-	res, err := Simulate(BaseConfig(), prog, 0)
+	res, err := SimulateContext(context.Background(), BaseConfig(), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,8 +62,8 @@ func TestSimulateMatchesEmulate(t *testing.T) {
 }
 
 func TestSimulateBudget(t *testing.T) {
-	prog := Benchmark("gzip", ScaleTest)
-	res, err := Simulate(BaseConfig(), prog, 2_000)
+	prog := kernel(t, "gzip", ScaleTest)
+	res, err := SimulateContext(context.Background(), BaseConfig(), prog, WithMaxInstr(2_000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,19 +81,10 @@ func TestBenchmarkNames(t *testing.T) {
 		t.Fatalf("benchmarks = %d, want 18", len(names))
 	}
 	for _, n := range names {
-		if Benchmark(n, ScaleTest) == nil {
+		if kernel(t, n, ScaleTest) == nil {
 			t.Errorf("benchmark %s nil", n)
 		}
 	}
-}
-
-func TestBenchmarkUnknownPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic for unknown benchmark")
-		}
-	}()
-	Benchmark("nope", ScaleTest)
 }
 
 func TestConfigConstructors(t *testing.T) {
@@ -100,7 +106,7 @@ func TestConfigConstructors(t *testing.T) {
 func TestSimulateRejectsBadConfig(t *testing.T) {
 	cfg := BaseConfig()
 	cfg.ActiveList = -1
-	if _, err := Simulate(cfg, tinyProgram(t), 0); err == nil {
+	if _, err := SimulateContext(context.Background(), cfg, tinyProgram(t)); err == nil {
 		t.Error("invalid config accepted")
 	}
 }

@@ -13,26 +13,8 @@ import (
 	"largewindow/internal/telemetry"
 )
 
-func TestSimulateContextMatchesSimulate(t *testing.T) {
-	prog := tinyProgram(t)
-	v1, err := Simulate(BaseConfig(), prog, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := SimulateContext(context.Background(), BaseConfig(), tinyProgram(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !v2.Halted {
-		t.Error("v2 run did not halt")
-	}
-	if v1.Stats.Cycles != v2.Stats.Cycles || v1.Stats.StreamHash != v2.Stats.StreamHash {
-		t.Errorf("v1 and v2 runs diverge: %d/%d cycles", v1.Stats.Cycles, v2.Stats.Cycles)
-	}
-}
-
 func TestSimulateContextMaxInstr(t *testing.T) {
-	prog := Benchmark("gzip", ScaleTest)
+	prog := kernel(t, "gzip", ScaleTest)
 	res, err := SimulateContext(context.Background(), BaseConfig(), prog, WithMaxInstr(2_000))
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +28,7 @@ func TestSimulateContextMaxInstr(t *testing.T) {
 }
 
 func TestSimulateContextMaxCycles(t *testing.T) {
-	prog := Benchmark("gzip", ScaleTest)
+	prog := kernel(t, "gzip", ScaleTest)
 	res, err := SimulateContext(context.Background(), BaseConfig(), prog, WithMaxCycles(500))
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +44,7 @@ func TestSimulateContextMaxCycles(t *testing.T) {
 func TestSimulateContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already dead before the run starts
-	prog := Benchmark("mst", ScaleRun)
+	prog := kernel(t, "mst", ScaleRun)
 	_, err := SimulateContext(ctx, BaseConfig(), prog)
 	if err == nil {
 		t.Fatal("cancelled run returned no error")
@@ -74,7 +56,7 @@ func TestSimulateContextCancellation(t *testing.T) {
 
 func TestSimulateContextTelemetry(t *testing.T) {
 	var buf bytes.Buffer
-	prog := Benchmark("gzip", ScaleTest)
+	prog := kernel(t, "gzip", ScaleTest)
 	res, err := SimulateContext(context.Background(), BaseConfig(), prog,
 		WithMaxInstr(5_000), WithTelemetry(&buf, 256))
 	if err != nil {
@@ -94,11 +76,12 @@ func TestSimulateContextTelemetry(t *testing.T) {
 }
 
 func TestLookupBenchmark(t *testing.T) {
-	prog, err := LookupBenchmark("art", ScaleTest)
-	if err != nil || prog == nil {
-		t.Fatalf("LookupBenchmark(art) = %v, %v", prog, err)
+	// Looking a kernel up by name goes through the workload-ref path.
+	prog := kernel(t, "art", ScaleTest)
+	if prog == nil {
+		t.Fatal("kernel(art) = nil")
 	}
-	_, err = LookupBenchmark("nope", ScaleTest)
+	_, err := ParseWorkloadRef("nope")
 	if err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
@@ -110,22 +93,8 @@ func TestLookupBenchmark(t *testing.T) {
 	}
 }
 
-func TestBenchmarkPanicListsNames(t *testing.T) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("no panic for unknown benchmark")
-		}
-		msg, ok := r.(string)
-		if !ok || !strings.Contains(msg, "gzip") {
-			t.Errorf("panic %v does not list valid benchmarks", r)
-		}
-	}()
-	Benchmark("nope", ScaleTest)
-}
-
 func TestResultJSONRoundTrip(t *testing.T) {
-	prog := Benchmark("gzip", ScaleTest)
+	prog := kernel(t, "gzip", ScaleTest)
 	res, err := SimulateContext(context.Background(), BaseConfig(), prog, WithMaxInstr(5_000))
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +203,7 @@ func TestWithWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1, err := SimulateContext(ctx, BaseConfig(), Benchmark("gzip", ScaleTest), WithMaxInstr(3_000))
+	v1, err := SimulateContext(ctx, BaseConfig(), kernel(t, "gzip", ScaleTest), WithMaxInstr(3_000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +216,7 @@ func TestWithWorkload(t *testing.T) {
 	}
 
 	// Supplying both prog and workload is an error; so is neither.
-	if _, err := SimulateContext(ctx, BaseConfig(), Benchmark("gzip", ScaleTest), WithWorkload(bw, ScaleTest)); err == nil {
+	if _, err := SimulateContext(ctx, BaseConfig(), kernel(t, "gzip", ScaleTest), WithWorkload(bw, ScaleTest)); err == nil {
 		t.Error("prog + WithWorkload accepted")
 	}
 	if _, err := SimulateContext(ctx, BaseConfig(), nil); err == nil {

@@ -20,6 +20,12 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
+echo "== perfbench module (vet + self-test) =="
+# perfbench is its own module (it depends on this one through a replace
+# directive), so the go build/vet/test ./... runs above never compile it.
+# Vet and self-test it here so an API change it calls fails the gate.
+(cd perfbench && go vet . && go test .)
+
 echo "== go test -race =="
 go test -race ./...
 
@@ -34,25 +40,6 @@ go test -count=1 -run 'TestSteadyStateAllocFree' ./internal/heap/
 
 echo "== fault-injection smoke sweep =="
 go test -count=1 -run 'TestCampaignDetectsEveryFault|TestWatchdogFaultsBounded' ./internal/fault/
-
-echo "== deprecated Simulate() is facade-only =="
-# New code takes SimulateContext; the one legitimate Simulate caller is
-# the deprecated wrapper itself (and its own regression test).
-if grep -rn 'largewindow\.Simulate(' cmd/ examples/ internal/ 2>/dev/null; then
-    echo "FAIL: call sites above use the deprecated largewindow.Simulate — use SimulateContext"
-    exit 1
-fi
-
-echo "== deprecated workload lookups are facade-only =="
-# New code resolves workloads through workload.Source / ParseRef; the
-# legacy Benchmark()/LookupBenchmark()/GetOmitted()/OmittedNames()
-# entry points survive only as thin wrappers in the root package and
-# internal/workload itself.
-if grep -rn 'largewindow\.Benchmark(\|largewindow\.LookupBenchmark(\|GetOmitted\|OmittedNames' \
-        cmd/ examples/ internal/ --include='*.go' | grep -v '^internal/workload/'; then
-    echo "FAIL: call sites above use deprecated workload lookups — use workload.ParseRef / Source"
-    exit 1
-fi
 
 echo "== trace record -> replay bit-identity =="
 # The acceptance bar for the trace frontend (DESIGN.md §13): replaying a
