@@ -48,6 +48,7 @@ import (
 
 	"largewindow/internal/core"
 	"largewindow/internal/emu"
+	"largewindow/internal/harness"
 	"largewindow/internal/isa"
 	"largewindow/internal/model"
 	"largewindow/internal/sample"
@@ -169,32 +170,29 @@ func main() {
 		runPredict(src, sc, cfg, prog, budget)
 		return
 	}
+	r := harness.Region{MaxInstr: budget, MaxCycles: *cycles, Bench: src.Name(), Scale: sc.String()}
+	var plan sample.Plan
 	if *smpl != "" {
-		runSampled(*smpl, src, sc, cfg, prog, *cycles, *deadline, *pprofOut)
-		return
-	}
-	p, err := core.New(cfg, prog)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		if plan, err = sample.Parse(*smpl); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		r.Sampling = &plan
 	}
 	var ffTime time.Duration
-	if *skip > 0 {
+	if *skip > 0 && r.Sampling == nil {
 		ffStart := time.Now()
-		cp, err := emu.BuildCheckpoint(prog, *skip)
-		if err != nil {
+		if r.Checkpoint, err = emu.BuildCheckpoint(prog, *skip); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		ffTime = time.Since(ffStart)
-		if err := p.RestoreCheckpoint(cp); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
 	}
 
+	// The sampled core is recreated per window, so telemetry and the
+	// lifecycle traces apply to detailed regions only.
 	var col *telemetry.Collector
-	if *telem {
+	if *telem && r.Sampling == nil {
 		f, err := os.Create(*telemOut)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -202,7 +200,14 @@ func main() {
 		}
 		defer f.Close()
 		col = telemetry.NewCollector(f, *sampleIvl)
-		p.AttachTelemetry(col)
+	}
+	var p *core.Processor
+	r.Setup = func(np *core.Processor) error {
+		p = np
+		if col != nil {
+			p.AttachTelemetry(col)
+		}
+		return nil
 	}
 	if *pprofOut != "" {
 		f, err := os.Create(*pprofOut)
@@ -223,27 +228,34 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *deadline)
 		defer cancel()
 	}
-	st, err := p.RunContext(ctx, budget, *cycles)
-	if col != nil {
-		if cerr := col.Close(st.Cycles); cerr != nil {
-			fmt.Fprintf(os.Stderr, "writing telemetry: %v\n", cerr)
+	start := time.Now()
+	out, err := harness.Simulate(ctx, cfg, prog, r)
+	elapsed := time.Since(start)
+	if p != nil {
+		if col != nil {
+			if cerr := col.Close(p.Statistics().Cycles); cerr != nil {
+				fmt.Fprintf(os.Stderr, "writing telemetry: %v\n", cerr)
+			}
 		}
+		writeInstrTraces(*traceOut, *kanataOut, p)
 	}
-	writeInstrTraces(*traceOut, *kanataOut, p)
-	if err != nil && !errors.Is(err, core.ErrBudget) {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		var se *core.SimError
 		if errors.As(err, &se) {
-			se.Bench = src.Name()
-			se.Scale = *scale
 			writeCrashDump(*crashDump, se)
 		}
-		if *dump {
+		if *dump && p != nil {
 			fmt.Fprintln(os.Stderr, p.DebugDump(20))
 		}
 		os.Exit(1)
 	}
+	if r.Sampling != nil {
+		reportSampled(src, cfg, prog, plan, out, elapsed)
+		return
+	}
 
+	st := &out.Stats
 	h := p.Hierarchy()
 	fmt.Printf("benchmark         %s (%s, %d static instrs)\n", src.Name(), src.Suite(), len(prog.Code))
 	fmt.Printf("configuration     %s\n", cfg.Name)
@@ -322,48 +334,10 @@ func runPredict(wl workload.Source, sc workload.Scale, cfg core.Config, prog *is
 	fmt.Printf("  ramp            %12.0f  (%5.1f%%)\n", pr.Ramp, pct(pr.Ramp))
 }
 
-// runSampled executes one benchmark as a SMARTS-style sampled simulation
-// and prints the sampled report: point-estimate IPC with its 95%
-// confidence interval, per-interval spread, and the measured-window
-// memory-system ratios. The -telemetry/-trace options do not apply (the
-// detailed core is recreated per interval).
-func runSampled(spec string, wl workload.Source, sc workload.Scale, cfg core.Config, prog *isa.Program, cycles int64, deadline time.Duration, pprofOut string) {
-	plan, err := sample.Parse(spec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if pprofOut != "" {
-		f, err := os.Create(pprofOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	ctx := context.Background()
-	if deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, deadline)
-		defer cancel()
-	}
-	start := time.Now()
-	out, err := sample.Run(ctx, cfg, prog, plan, cycles, nil)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		var se *core.SimError
-		if errors.As(err, &se) {
-			se.Bench = wl.Name()
-			se.Scale = sc.String()
-		}
-		os.Exit(1)
-	}
-	elapsed := time.Since(start)
+// reportSampled prints the sampled report: point-estimate IPC with its
+// 95% confidence interval, per-interval spread, and the measured-window
+// memory-system ratios.
+func reportSampled(wl workload.Source, cfg core.Config, prog *isa.Program, plan sample.Plan, out *sample.Outcome, elapsed time.Duration) {
 	st := out.Stats
 	fmt.Printf("benchmark         %s (%s, %d static instrs)\n", wl.Name(), wl.Suite(), len(prog.Code))
 	fmt.Printf("configuration     %s\n", cfg.Name)

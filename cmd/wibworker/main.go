@@ -73,11 +73,9 @@ func main() {
 
 	// One session, shared by every slot: the coordinator owns dedup,
 	// retries, and persistence, so the session is pure execution — plus a
-	// shared checkpoint cache for the cells' fast-forward windows.
-	session := harness.NewSession(harness.Options{
-		RunDeadline:     *deadline,
-		CheckpointCache: true,
-	})
+	// shared checkpoint cache for the cells' fast-forward windows, which
+	// it opens with the first cell that skips.
+	session := harness.NewSession(harness.Options{RunDeadline: *deadline})
 	logger.Info("wibworker starting", "slots", slots, "server", *server)
 
 	// One metrics instance across every slot: /metrics reports the
@@ -134,14 +132,13 @@ func main() {
 			wid = fmt.Sprintf("%s-%d", base, i)
 		}
 		w := service.NewWorker(service.WorkerOptions{
-			Server:       *server,
-			ID:           wid,
-			Exec:         session.ExecCell,
-			ExecProgress: session.ExecCellWithProgress,
-			Classify:     harness.Transient,
-			PollWait:     *poll,
-			Log:          logger,
-			Metrics:      metrics,
+			Server:   *server,
+			ID:       wid,
+			Exec:     session.ExecCellWithProgress,
+			Classify: harness.Transient,
+			PollWait: *poll,
+			Log:      logger,
+			Metrics:  metrics,
 		})
 		workers[i] = w
 		wg.Add(1)

@@ -40,11 +40,6 @@ type Options struct {
 	Retry RetryPolicy
 	// Log receives retry and cache-corruption lines (nil = quiet).
 	Log io.Writer
-	// Checkpoints, when non-nil, is the campaign's shared functional-
-	// checkpoint cache. The engine itself never builds checkpoints (the
-	// executor does, through Checkpoints.Get); attaching it here surfaces
-	// built/reused counts in Snapshot, Summary, and the progress line.
-	Checkpoints *Checkpoints
 }
 
 // cellState is the single-flight slot for one cell: exactly one
@@ -107,6 +102,10 @@ type Engine struct {
 	modelPruned  atomic.Uint64
 	modelAudited atomic.Uint64
 
+	// ckpts is the campaign's shared functional-checkpoint cache, once
+	// the executor attaches one (AttachCheckpoints).
+	ckpts atomic.Pointer[Checkpoints]
+
 	start time.Time
 }
 
@@ -139,6 +138,12 @@ func NewEngine(exec ExecFunc, opt Options) *Engine {
 	e.reg.CounterFunc("campaign.cells.model_audited", e.modelAudited.Load)
 	return e
 }
+
+// AttachCheckpoints makes c the campaign's shared functional-checkpoint
+// cache. The engine itself never builds checkpoints (the executor does,
+// through Checkpoints.Get); attaching the cache surfaces its built/reused
+// counts in Snapshot, Summary, and the progress line.
+func (e *Engine) AttachCheckpoints(c *Checkpoints) { e.ckpts.Store(c) }
 
 // AddModelPruned registers n sweep cells the interval model answered in
 // place of the detailed core during a model-pruned exploration.
@@ -363,8 +368,8 @@ type Snapshot struct {
 	Instrs    uint64
 	Elapsed   time.Duration
 
-	// Checkpoint-cache activity (zero-valued unless Options.Checkpoints
-	// was attached).
+	// Checkpoint-cache activity (zero-valued until a checkpoint cache
+	// is attached).
 	HasCheckpoints bool
 	CkptBuilt      uint64 // functional fast-forward passes executed
 	CkptReused     uint64 // checkpoint requests served from cache
@@ -397,9 +402,9 @@ func (e *Engine) Snapshot() Snapshot {
 		ModelPruned:      e.modelPruned.Load(),
 		ModelAudited:     e.modelAudited.Load(),
 	}
-	if e.opt.Checkpoints != nil {
+	if c := e.ckpts.Load(); c != nil {
 		s.HasCheckpoints = true
-		s.CkptBuilt, s.CkptReused = e.opt.Checkpoints.Counts()
+		s.CkptBuilt, s.CkptReused = c.Counts()
 	}
 	return s
 }

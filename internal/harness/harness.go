@@ -76,12 +76,6 @@ type Options struct {
 	// TelemetryDir, SkipInstr checkpointing) do not apply to cells a
 	// custom Exec runs elsewhere.
 	Exec campaign.ExecFunc
-	// CheckpointCache forces the session to maintain a shared functional-
-	// checkpoint cache even when SkipInstr is 0. Service workers set it:
-	// the cells they execute carry their own per-cell skip windows, and
-	// without a session-level cache every cell would rebuild its
-	// checkpoint from scratch.
-	CheckpointCache bool
 	// PreRun, when non-nil, is invoked on each freshly constructed
 	// processor before its run starts. It exists for tests (fault
 	// injection, tracing hooks); production sessions leave it nil. Note
@@ -175,7 +169,12 @@ type Session struct {
 	opt   Options
 	eng   *campaign.Engine
 	store *campaign.Store
-	ckpts *campaign.Checkpoints // nil when SkipInstr == 0
+
+	// ckpts is the shared checkpoint cache, opened by the first executed
+	// cell that skips (ckptOnce): service workers lease cells with their
+	// own skip windows, so the session's own SkipInstr cannot tell.
+	ckptOnce sync.Once
+	ckpts    *campaign.Checkpoints
 
 	mu       sync.Mutex
 	view     map[string]*viewCell
@@ -215,44 +214,23 @@ func NewSession(opt Options) *Session {
 			s.store = store
 		}
 	}
-	if opt.SkipInstr > 0 || opt.CheckpointCache {
-		ckptDir := ""
-		if s.store != nil {
-			ckptDir = filepath.Join(opt.CacheDir, "ckpt")
-		}
-		ckpts, err := campaign.NewCheckpoints(ckptDir, opt.Log)
-		if err != nil {
-			// Degrade to a memory-only checkpoint cache; the campaign still
-			// shares one functional pass per (bench, scale, skip) in-process.
-			if opt.Log != nil {
-				fmt.Fprintf(opt.Log, "  checkpoint persistence disabled: %v\n", err)
-			}
-			ckpts, _ = campaign.NewCheckpoints("", opt.Log)
-		}
-		s.ckpts = ckpts
-	}
-	exec := campaign.ExecFunc(s.execCell)
-	if opt.Exec != nil {
-		exec = opt.Exec
+	exec := opt.Exec
+	if exec == nil {
+		exec = func(c campaign.Cell) (*campaign.Record, error) { return s.execute(c, nil) }
 	}
 	retry := opt.Retry
 	if retry.IsTransient == nil {
 		retry.IsTransient = Transient
 	}
 	s.eng = campaign.NewEngine(exec, campaign.Options{
-		Workers:     opt.Parallel,
-		Store:       s.store,
-		Resume:      opt.Resume,
-		Retry:       retry,
-		Log:         opt.Log,
-		Checkpoints: s.ckpts,
+		Workers: opt.Parallel,
+		Store:   s.store,
+		Resume:  opt.Resume,
+		Retry:   retry,
+		Log:     opt.Log,
 	})
 	return s
 }
-
-// Checkpoints exposes the session's shared checkpoint cache (nil when
-// SkipInstr is 0).
-func (s *Session) Checkpoints() *campaign.Checkpoints { return s.ckpts }
 
 // Campaign exposes the session's engine (progress counters, priming).
 func (s *Session) Campaign() *campaign.Engine { return s.eng }
@@ -371,15 +349,6 @@ func (s *Session) Run(cfg core.Config, src workload.Source) (*Result, error) {
 	return vc.res, vc.err
 }
 
-// RunRef is Run over an unresolved workload ref.
-func (s *Session) RunRef(cfg core.Config, ref string) (*Result, error) {
-	src, err := s.resolveRef(ref)
-	if err != nil {
-		return nil, err
-	}
-	return s.Run(cfg, src)
-}
-
 // recordToResult converts a campaign record (fresh or cache-served) into
 // the harness view the table generators consume.
 func recordToResult(rec *campaign.Record, src workload.Source) *Result {
@@ -427,19 +396,15 @@ func (s *Session) resolveCell(cell campaign.Cell) (workload.Source, error) {
 	return src, nil
 }
 
-// execCell is the engine's executor: it builds the workload, constructs
-// the processor, and runs one cell to completion. The engine wraps it
-// with panic isolation and the transient-retry policy.
-func (s *Session) execCell(cell campaign.Cell) (*campaign.Record, error) {
-	return s.execCellProgress(cell, nil)
-}
-
-// execCellProgress is execCell with an optional per-cell interval
-// progress callback (nil for local campaigns, whose progress feeds the
-// engine counters directly). Service workers thread the callback into
-// their lease heartbeats so the coordinator's ETA model sees fractional
-// in-flight progress on long sampled cells.
-func (s *Session) execCellProgress(cell campaign.Cell, onInterval func(done, planned int)) (*campaign.Record, error) {
+// execute runs one cell through Simulate: it resolves and builds the
+// workload, picks the cell's region (its shared checkpoint or its
+// resolved sampling plan), and turns the outcome into the cell's record.
+// onInterval (nil for local campaigns, whose progress feeds the engine
+// counters directly) fires once up front with the plan size and again as
+// each measured window of a sampled cell completes; service workers
+// thread it into their lease heartbeats so the coordinator's ETA model
+// sees fractional in-flight progress on long sampled cells.
+func (s *Session) execute(cell campaign.Cell, onInterval func(done, planned int)) (*campaign.Record, error) {
 	src, err := s.resolveCell(cell)
 	if err != nil {
 		return nil, err
@@ -449,28 +414,37 @@ func (s *Session) execCellProgress(cell campaign.Cell, onInterval func(done, pla
 	if err != nil {
 		return nil, fmt.Errorf("harness: building %s: %w", resultKey(src), err)
 	}
+	r := Region{MaxInstr: cell.MaxInstr, MaxCycles: cell.MaxCycles, Bench: src.Name(), Scale: cell.Scale.String()}
+	var closeTelemetry func() error
 	if cell.Sampling != nil {
-		return s.execSampledCell(cell, src, prog, onInterval)
-	}
-	p, err := core.New(cfg, prog)
-	if err != nil {
-		return nil, err
-	}
-	if cell.SkipInstr > 0 {
-		cp, err := s.checkpointFor(cell, prog)
+		plan, err := s.resolvePlan(*cell.Sampling, src, cell.Scale, prog)
 		if err != nil {
 			return nil, err
 		}
-		if err := p.RestoreCheckpoint(cp); err != nil {
-			return nil, err
+		r.Sampling = &plan
+		s.eng.AddPlannedIntervals(uint64(plan.Intervals))
+		if onInterval != nil {
+			onInterval(0, plan.Intervals)
 		}
-	}
-	if s.opt.PreRun != nil {
-		s.opt.PreRun(p, cfg, src)
-	}
-	closeTelemetry, err := s.attachTelemetry(p, cfg, src)
-	if err != nil {
-		return nil, err
+		r.Progress = func(done, planned int) {
+			s.eng.IntervalDone()
+			if onInterval != nil {
+				onInterval(done, planned)
+			}
+		}
+	} else {
+		if cell.SkipInstr > 0 {
+			if r.Checkpoint, err = s.checkpointFor(cell, prog); err != nil {
+				return nil, err
+			}
+		}
+		r.Setup = func(p *core.Processor) (err error) {
+			if s.opt.PreRun != nil {
+				s.opt.PreRun(p, cfg, src)
+			}
+			closeTelemetry, err = s.attachTelemetry(p, cfg, src)
+			return err
+		}
 	}
 	ctx := s.opt.Context
 	if ctx == nil {
@@ -481,21 +455,15 @@ func (s *Session) execCellProgress(cell campaign.Cell, onInterval func(done, pla
 		ctx, cancel = context.WithTimeout(ctx, s.opt.RunDeadline)
 		defer cancel()
 	}
-	st, err := p.RunContext(ctx, cell.MaxInstr, cell.MaxCycles)
+	out, err := Simulate(ctx, cfg, prog, r)
 	if closeTelemetry != nil {
-		if terr := closeTelemetry(st.Cycles); terr != nil && s.opt.Log != nil {
+		if terr := closeTelemetry(); terr != nil && s.opt.Log != nil {
 			fmt.Fprintf(s.opt.Log, "  telemetry %s on %s: %v\n", src.Name(), cfg.Name, terr)
 		}
 	}
-	if err != nil && !errors.Is(err, core.ErrBudget) {
-		var se *core.SimError
-		if errors.As(err, &se) {
-			se.Bench = src.Name()
-			se.Scale = cell.Scale.String()
-		}
+	if err != nil {
 		return nil, err
 	}
-	h := p.Hierarchy()
 	rec := &campaign.Record{
 		Config:     cfg.Name,
 		Bench:      src.Name(),
@@ -506,78 +474,8 @@ func (s *Session) execCellProgress(cell campaign.Cell, onInterval func(done, pla
 		SkipInstr:  cell.SkipInstr,
 		Workload:   cell.Workload,
 		WorkloadID: cell.WorkloadID,
-		IPC:        st.IPC,
-		Stats:      *st,
-		DL1Miss:    h.L1DStats().MissRatio(),
-		L2Local:    h.L2Stats().MissRatio(),
-		BrAcc:      st.CondAccuracy(),
-	}
-	if s.opt.Log != nil {
-		fmt.Fprintf(s.opt.Log, "  ran %-10s on %-16s IPC=%.3f cycles=%d dl1=%.3f l2=%.3f\n",
-			src.Name(), cfg.Name, rec.IPC, rec.Stats.Cycles, rec.DL1Miss, rec.L2Local)
-	}
-	return rec, nil
-}
 
-// execSampledCell runs one cell under its sampling plan: the functional
-// emulator carries the benchmark between the plan's detailed windows and
-// the record aggregates the measured windows into a point estimate with
-// a confidence interval. Interval completions feed the engine's progress
-// counters so a sampled campaign's progress line shows interval k/N.
-func (s *Session) execSampledCell(cell campaign.Cell, src workload.Source, prog *isa.Program, onInterval func(done, planned int)) (*campaign.Record, error) {
-	plan := *cell.Sampling
-	if !plan.Resolved() {
-		key := src.Identity() + "/" + cell.Scale.String()
-		v, ok := s.progLen.Load(key)
-		if !ok {
-			total, err := sample.ProgramLength(prog)
-			if err != nil {
-				return nil, err
-			}
-			v, _ = s.progLen.LoadOrStore(key, total)
-		}
-		plan = plan.Resolve(v.(uint64))
-	}
-	ctx := s.opt.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if s.opt.RunDeadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.opt.RunDeadline)
-		defer cancel()
-	}
-	s.eng.AddPlannedIntervals(uint64(plan.Intervals))
-	if onInterval != nil {
-		onInterval(0, plan.Intervals)
-	}
-	out, err := sample.Run(ctx, cell.Config, prog, plan, cell.MaxCycles,
-		func(done, planned int) {
-			s.eng.IntervalDone()
-			if onInterval != nil {
-				onInterval(done, planned)
-			}
-		})
-	if err != nil {
-		var se *core.SimError
-		if errors.As(err, &se) {
-			se.Bench = src.Name()
-			se.Scale = cell.Scale.String()
-		}
-		return nil, err
-	}
-	rec := &campaign.Record{
-		Config:     cell.Config.Name,
-		Bench:      src.Name(),
-		Suite:      src.Suite().String(),
-		Scale:      cell.Scale.String(),
-		MaxInstr:   cell.MaxInstr,
-		MaxCycles:  cell.MaxCycles,
-		SkipInstr:  cell.SkipInstr,
-		Workload:   cell.Workload,
-		WorkloadID: cell.WorkloadID,
-
-		IPC:     out.MeanIPC,
+		IPC:     out.Stats.IPC,
 		Stats:   out.Stats,
 		DL1Miss: out.DL1Miss,
 		L2Local: out.L2Local,
@@ -590,29 +488,72 @@ func (s *Session) execSampledCell(cell campaign.Cell, src workload.Source, prog 
 		IntervalIPCs: out.IntervalIPCs,
 	}
 	if s.opt.Log != nil {
-		fmt.Fprintf(s.opt.Log, "  ran %-10s on %-16s IPC=%.3f ±%.3f (%d intervals) dl1=%.3f l2=%.3f\n",
-			src.Name(), cell.Config.Name, rec.IPC, rec.IPCCI95, rec.Intervals, rec.DL1Miss, rec.L2Local)
+		if cell.Sampling != nil {
+			fmt.Fprintf(s.opt.Log, "  ran %-10s on %-16s IPC=%.3f ±%.3f (%d intervals) dl1=%.3f l2=%.3f\n",
+				src.Name(), cfg.Name, rec.IPC, rec.IPCCI95, rec.Intervals, rec.DL1Miss, rec.L2Local)
+		} else {
+			fmt.Fprintf(s.opt.Log, "  ran %-10s on %-16s IPC=%.3f cycles=%d dl1=%.3f l2=%.3f\n",
+				src.Name(), cfg.Name, rec.IPC, rec.Stats.Cycles, rec.DL1Miss, rec.L2Local)
+		}
 	}
 	return rec, nil
 }
 
+// resolvePlan resolves an auto-period plan against the program's
+// length, measured once per workload and scale for the whole session (a
+// Fig.4-style sweep runs several configs per kernel).
+func (s *Session) resolvePlan(plan sample.Plan, src workload.Source, scale workload.Scale, prog *isa.Program) (sample.Plan, error) {
+	if plan.Resolved() {
+		return plan, nil
+	}
+	key := src.Identity() + "/" + scale.String()
+	v, ok := s.progLen.Load(key)
+	if !ok {
+		total, err := sample.ProgramLength(prog)
+		if err != nil {
+			return plan, err
+		}
+		v, _ = s.progLen.LoadOrStore(key, total)
+	}
+	return plan.Resolve(v.(uint64)), nil
+}
+
 // checkpointFor resolves (building at most once per key, campaign-wide)
-// the functional fast-forward checkpoint a cell starts from.
+// the functional fast-forward checkpoint a cell starts from. The shared
+// cache opens with the first cell that skips, persisting under
+// CacheDir/ckpt when the session has a store.
 func (s *Session) checkpointFor(cell campaign.Cell, prog *isa.Program) (*emu.Checkpoint, error) {
-	build := func() (*emu.Checkpoint, error) {
-		return emu.BuildCheckpoint(prog, cell.SkipInstr)
-	}
-	if s.ckpts == nil {
-		return build()
-	}
+	s.ckptOnce.Do(s.openCheckpoints)
 	key := campaign.CheckpointKey{Bench: cell.Bench, Scale: cell.Scale, Skip: cell.SkipInstr, Workload: cell.WorkloadID}
-	return s.ckpts.Get(key, build)
+	return s.ckpts.Get(key, func() (*emu.Checkpoint, error) {
+		return emu.BuildCheckpoint(prog, cell.SkipInstr)
+	})
+}
+
+// openCheckpoints creates the session's checkpoint cache and attaches it
+// to the engine, whose progress line and summary report its counts.
+func (s *Session) openCheckpoints() {
+	ckptDir := ""
+	if s.store != nil {
+		ckptDir = filepath.Join(s.opt.CacheDir, "ckpt")
+	}
+	ckpts, err := campaign.NewCheckpoints(ckptDir, s.opt.Log)
+	if err != nil {
+		// Degrade to a memory-only checkpoint cache; the campaign still
+		// shares one functional pass per (bench, scale, skip) in-process.
+		if s.opt.Log != nil {
+			fmt.Fprintf(s.opt.Log, "  checkpoint persistence disabled: %v\n", err)
+		}
+		ckpts, _ = campaign.NewCheckpoints("", s.opt.Log)
+	}
+	s.ckpts = ckpts
+	s.eng.AttachCheckpoints(ckpts)
 }
 
 // attachTelemetry wires a per-cell JSONL collector when TelemetryDir is
-// set. The returned closer flushes the stream with the run's final cycle
+// set. The returned closer flushes the stream with p's final cycle
 // count; it is nil when telemetry is off.
-func (s *Session) attachTelemetry(p *core.Processor, cfg core.Config, src workload.Source) (func(int64) error, error) {
+func (s *Session) attachTelemetry(p *core.Processor, cfg core.Config, src workload.Source) (func() error, error) {
 	if s.opt.TelemetryDir == "" {
 		return nil, nil
 	}
@@ -631,8 +572,8 @@ func (s *Session) attachTelemetry(p *core.Processor, cfg core.Config, src worklo
 	}
 	col := telemetry.NewCollector(f, s.opt.SampleInterval)
 	p.AttachTelemetry(col)
-	return func(endCycle int64) error {
-		cerr := col.Close(endCycle)
+	return func() error {
+		cerr := col.Close(p.Statistics().Cycles)
 		if ferr := f.Close(); cerr == nil {
 			cerr = ferr
 		}
@@ -675,7 +616,7 @@ func (s *Session) ExecCellWithProgress(cell campaign.Cell, onInterval func(done,
 			rec, err = nil, fmt.Errorf("harness: panic executing %s: %v", cell, r)
 		}
 	}()
-	return s.execCellProgress(cell, onInterval)
+	return s.execute(cell, onInterval)
 }
 
 // RunAll simulates every selected benchmark under cfg, concurrently, and

@@ -20,7 +20,8 @@ type Progress func(done, planned int)
 
 // Outcome is the result of one sampled run: the per-interval IPC series,
 // the aggregated measured-window stats, and the CLT estimators over the
-// interval CPIs.
+// interval CPIs. harness.Simulate reports a contiguous detailed region in
+// the same type, filling only Stats, the miss ratios, BrAcc and Halted.
 type Outcome struct {
 	// Plan is the executed plan — auto-period plans appear here resolved
 	// against the program's actual length.

@@ -99,7 +99,7 @@ func TestChaosSweepByteIdentical(t *testing.T) {
 	victim := NewWorker(WorkerOptions{
 		Server: srv.URL,
 		ID:     "victim",
-		Exec: func(c campaign.Cell) (*campaign.Record, error) {
+		Exec: func(c campaign.Cell, _ func(done, planned int)) (*campaign.Record, error) {
 			victimOnce.Do(func() { close(victimLeased) })
 			<-victimRelease // "mid-execution" forever; orphaned by Kill
 			return nil, errors.New("unreachable")
@@ -155,7 +155,7 @@ func TestChaosSweepByteIdentical(t *testing.T) {
 		w := NewWorker(WorkerOptions{
 			Server:   srv.URL,
 			ID:       fmt.Sprintf("healthy-%d", i),
-			Exec:     chaoticExec,
+			Exec:     withoutProgress(chaoticExec),
 			Classify: func(error) bool { return true },
 			PollWait: 100 * time.Millisecond,
 		})

@@ -141,7 +141,7 @@ func TestHeartbeatIntervalProgress(t *testing.T) {
 }
 
 // TestWorkerExecProgressHeartbeats drives the worker end of the interval
-// pipeline: an ExecProgress cell that reports interval progress and
+// pipeline: an Exec cell that reports interval progress and
 // outlives a heartbeat must land its counts on the coordinator while
 // still leased.
 func TestWorkerExecProgressHeartbeats(t *testing.T) {
@@ -153,7 +153,7 @@ func TestWorkerExecProgressHeartbeats(t *testing.T) {
 		Server:   srv.URL,
 		ID:       "iv-worker",
 		PollWait: 100 * time.Millisecond,
-		ExecProgress: func(c campaign.Cell, onInterval func(done, planned int)) (*campaign.Record, error) {
+		Exec: func(c campaign.Cell, onInterval func(done, planned int)) (*campaign.Record, error) {
 			onInterval(3, 8)
 			<-release
 			return fakeExec(c)

@@ -55,7 +55,7 @@ func sweepOnce(tb testing.TB, observed bool) uint64 {
 	w := NewWorker(WorkerOptions{
 		Server:   srv.URL,
 		ID:       "bench-w",
-		Exec:     fakeExec,
+		Exec:     withoutProgress(fakeExec),
 		PollWait: 50 * time.Millisecond,
 		Metrics:  &WorkerMetrics{},
 	})

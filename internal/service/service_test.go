@@ -56,6 +56,12 @@ func startCoordinator(t *testing.T, opt CoordinatorOptions) (*Coordinator, *http
 	return coord, srv
 }
 
+// withoutProgress adapts a cell executor that reports no interval
+// progress to the worker's Exec signature.
+func withoutProgress(exec campaign.ExecFunc) func(campaign.Cell, func(done, planned int)) (*campaign.Record, error) {
+	return func(c campaign.Cell, _ func(done, planned int)) (*campaign.Record, error) { return exec(c) }
+}
+
 // startWorkers launches n fake-exec workers against a server, cancelled
 // and awaited at test end.
 func startWorkers(t *testing.T, server string, n int, exec campaign.ExecFunc) []*Worker {
@@ -67,7 +73,7 @@ func startWorkers(t *testing.T, server string, n int, exec campaign.ExecFunc) []
 		w := NewWorker(WorkerOptions{
 			Server:   server,
 			ID:       fmt.Sprintf("w%d", i),
-			Exec:     exec,
+			Exec:     withoutProgress(exec),
 			PollWait: 100 * time.Millisecond,
 		})
 		workers = append(workers, w)
@@ -197,7 +203,7 @@ func TestTransientFailureRetriesAndPermanentFails(t *testing.T) {
 	classify := func(err error) bool { return strings.Contains(err.Error(), "transient") }
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	w := NewWorker(WorkerOptions{Server: srv.URL, Exec: exec, Classify: classify, PollWait: 100 * time.Millisecond})
+	w := NewWorker(WorkerOptions{Server: srv.URL, Exec: withoutProgress(exec), Classify: classify, PollWait: 100 * time.Millisecond})
 	go w.Run(ctx)
 
 	client := NewClient(ClientOptions{Server: srv.URL, PollWait: 200 * time.Millisecond})
@@ -282,7 +288,7 @@ func TestDrainGraceful(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	w := NewWorker(WorkerOptions{Server: srv.URL, Exec: slowExec, PollWait: 100 * time.Millisecond})
+	w := NewWorker(WorkerOptions{Server: srv.URL, Exec: withoutProgress(slowExec), PollWait: 100 * time.Millisecond})
 	workerDone := make(chan struct{})
 	go func() { defer close(workerDone); w.Run(ctx) }()
 

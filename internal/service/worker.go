@@ -67,14 +67,12 @@ type WorkerOptions struct {
 	// ID names the worker in coordinator logs ("" = host-pid).
 	ID string
 	// Exec executes one cell. Service workers mount harness
-	// Session.ExecCell here; tests mount whatever chaos they need.
-	Exec campaign.ExecFunc
-	// ExecProgress, when set, is used instead of Exec: it receives a
-	// per-cell interval progress callback (harness
-	// Session.ExecCellWithProgress) whose counts the worker ships on its
-	// lease heartbeats, so the coordinator's ETA sees fractional
-	// in-flight progress on long sampled cells.
-	ExecProgress func(cell campaign.Cell, onInterval func(done, planned int)) (*campaign.Record, error)
+	// Session.ExecCellWithProgress here; tests mount whatever chaos they
+	// need. Exec reports a sampled cell's measured windows through
+	// onInterval, whose counts the worker ships on its lease heartbeats,
+	// so the coordinator's ETA sees fractional in-flight progress on long
+	// sampled cells.
+	Exec func(cell campaign.Cell, onInterval func(done, planned int)) (*campaign.Record, error)
 	// Classify reports whether an execution error is transient — worth
 	// the coordinator re-dispatching the cell (harness.Transient for real
 	// workers). nil classifies every failure permanent.
@@ -310,10 +308,7 @@ func (w *Worker) execIsolated(cell campaign.Cell, onInterval func(done, planned 
 			rec, err = nil, fmt.Errorf("worker: panic executing %s: %v", cell, r)
 		}
 	}()
-	if w.opt.ExecProgress != nil {
-		return w.opt.ExecProgress(cell, onInterval)
-	}
-	return w.opt.Exec(cell)
+	return w.opt.Exec(cell, onInterval)
 }
 
 // complete delivers one outcome, retrying transport errors — the result

@@ -43,11 +43,11 @@ import (
 
 	"largewindow/internal/core"
 	"largewindow/internal/emu"
+	"largewindow/internal/harness"
 	"largewindow/internal/isa"
 	"largewindow/internal/model"
 	"largewindow/internal/sample"
 	"largewindow/internal/telemetry"
-	_ "largewindow/internal/trace" // register trace: and synth: workload schemes
 	"largewindow/internal/workload"
 )
 
@@ -348,62 +348,49 @@ func SimulateContext(ctx context.Context, cfg Config, prog *Program, opts ...Opt
 	if prog == nil {
 		return nil, errors.New("largewindow: nil program (pass a *Program or WithWorkload)")
 	}
-	if o.sampling != nil {
-		out, err := sample.Run(ctx, cfg, prog, *o.sampling, o.maxCycles, nil)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{
-			Stats:            out.Stats,
-			DL1MissRatio:     out.DL1Miss,
-			L2LocalMissRatio: out.L2Local,
-			TLBMissRatio:     out.TLBMiss,
-			Halted:           out.Halted,
-			Sampling:         &out.Plan,
-			Intervals:        len(out.IntervalIPCs),
-			IPCStdDev:        out.IPCStdDev,
-			IPCCI95:          out.IPCCI95,
-			IntervalIPCs:     out.IntervalIPCs,
-		}, nil
+	r := harness.Region{MaxInstr: o.maxInstr, MaxCycles: o.maxCycles, Sampling: o.sampling, Checkpoint: o.checkpoint}
+	if o.workload != nil {
+		r.Bench, r.Scale = o.workload.Name(), o.workloadScale.String()
 	}
-	p, err := core.New(cfg, prog)
-	if err != nil {
-		return nil, err
-	}
-	cp := o.checkpoint
-	if cp == nil && o.skipInstr > 0 {
-		if cp, err = emu.BuildCheckpoint(prog, o.skipInstr); err != nil {
+	if o.sampling == nil && r.Checkpoint == nil && o.skipInstr > 0 {
+		var err error
+		if r.Checkpoint, err = emu.BuildCheckpoint(prog, o.skipInstr); err != nil {
 			return nil, err
 		}
 	}
-	if cp != nil {
-		if err := p.RestoreCheckpoint(cp); err != nil {
-			return nil, err
-		}
-	}
+	var p *core.Processor
 	var col *telemetry.Collector
 	if o.telemetryW != nil {
-		col = telemetry.NewCollector(o.telemetryW, o.sampleInterval)
-		p.AttachTelemetry(col)
+		r.Setup = func(np *core.Processor) error {
+			p, col = np, telemetry.NewCollector(o.telemetryW, o.sampleInterval)
+			p.AttachTelemetry(col)
+			return nil
+		}
 	}
-	st, runErr := p.RunContext(ctx, o.maxInstr, o.maxCycles)
+	out, err := harness.Simulate(ctx, cfg, prog, r)
 	if col != nil {
-		if cerr := col.Close(st.Cycles); cerr != nil && (runErr == nil || errors.Is(runErr, core.ErrBudget)) {
+		if cerr := col.Close(p.Statistics().Cycles); cerr != nil && err == nil {
 			return nil, fmt.Errorf("largewindow: telemetry: %w", cerr)
 		}
 	}
-	halted := runErr == nil
-	if runErr != nil && !errors.Is(runErr, core.ErrBudget) {
-		return nil, runErr
+	if err != nil {
+		return nil, err
 	}
-	h := p.Hierarchy()
-	return &Result{
-		Stats:            *st,
-		DL1MissRatio:     h.L1DStats().MissRatio(),
-		L2LocalMissRatio: h.L2Stats().MissRatio(),
-		TLBMissRatio:     h.TLBMissRatio(),
-		Halted:           halted,
-	}, nil
+	res := &Result{
+		Stats:            out.Stats,
+		DL1MissRatio:     out.DL1Miss,
+		L2LocalMissRatio: out.L2Local,
+		TLBMissRatio:     out.TLBMiss,
+		Halted:           out.Halted,
+		Intervals:        len(out.IntervalIPCs),
+		IPCStdDev:        out.IPCStdDev,
+		IPCCI95:          out.IPCCI95,
+		IntervalIPCs:     out.IntervalIPCs,
+	}
+	if o.sampling != nil {
+		res.Sampling = &out.Plan
+	}
+	return res, nil
 }
 
 // ExploreReport is the outcome of an ExploreContext sweep: per-cell
@@ -427,29 +414,29 @@ func ExploreContext(ctx context.Context, cfgs []Config, workloads []string, opts
 	for _, opt := range opts {
 		opt(&o)
 	}
-	space := &model.Space{
-		Configs:      cfgs,
-		Benches:      workloads,
-		Scale:        o.workloadScale,
-		ProfileInstr: o.maxInstr,
-		TopK:         o.modelTopK,
-		AuditFrac:    o.modelAuditFrac,
-		Seed:         o.modelSeed,
-		Exec: func(cfg Config, bench string) (uint64, float64, error) {
-			src, err := ParseWorkloadRef(bench)
-			if err != nil {
-				return 0, 0, err
-			}
-			res, err := SimulateContext(ctx, cfg, nil,
-				WithWorkload(src, o.workloadScale),
-				WithMaxInstr(o.maxInstr), WithMaxCycles(o.maxCycles))
-			if err != nil {
-				return 0, 0, err
-			}
-			return uint64(res.Stats.Cycles), res.IPC(), nil
-		},
+	// A zero budget means unbounded here, but a harness session reads
+	// zero as its 300K-instruction / 100M-cycle default: pass a bound no
+	// run reaches instead.
+	const unbounded = 1 << 62
+	maxInstr, maxCycles := o.maxInstr, o.maxCycles
+	if maxInstr == 0 {
+		maxInstr = unbounded
 	}
-	return space.Explore()
+	if maxCycles == 0 {
+		maxCycles = unbounded
+	}
+	s := harness.NewSession(harness.Options{
+		MaxInstr:   maxInstr,
+		MaxCycles:  maxCycles,
+		Scale:      o.workloadScale,
+		Benchmarks: workloads,
+		Context:    ctx,
+	})
+	return s.Explore(cfgs, harness.ExploreOptions{
+		TopK:      o.modelTopK,
+		AuditFrac: o.modelAuditFrac,
+		Seed:      o.modelSeed,
+	})
 }
 
 // Emulate runs prog on the architectural emulator (no timing) and returns

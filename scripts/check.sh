@@ -65,6 +65,26 @@ done
 rm -rf "$trdir"
 echo "  replay: 3 kernels bit-identical to direct simulation"
 
+echo "== sampled crash-dump smoke =="
+# A sampled run that fails must leave a crash dump that wibtrace
+# replays, just as a detailed run does: a 1ns deadline fails the first
+# measured window.
+cddir="$(mktemp -d)"
+go build -o "$cddir/" ./cmd/wibsim ./cmd/wibtrace
+if "$cddir/wibsim" -bench gzip -scale test -config wib -sample n=4,len=500 \
+    -deadline 1ns -crash-dump "$cddir/d.json" >/dev/null 2>&1; then
+    echo "FAIL: sampled run under a 1ns deadline did not fail"
+    rm -rf "$cddir"
+    exit 1
+fi
+if ! "$cddir/wibtrace" -replay "$cddir/d.json" >/dev/null; then
+    echo "FAIL: failed sampled run left no replayable crash dump"
+    rm -rf "$cddir"
+    exit 1
+fi
+rm -rf "$cddir"
+echo "  sampled: crash dump written and replayed"
+
 echo "== synthetic generator calibration =="
 # The synth: dials must land where they claim: measured DL1 miss ratio
 # and branch-taken entropy within tolerance of the requested spec, and
